@@ -24,6 +24,7 @@ given, to keep reports reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -46,7 +47,7 @@ from .functionals import (
 )
 from .kernels import f_integral, heat_kernel, j_kernel, k0
 from .potentials import lp_halfd_norm, parse_potential
-from .quadrature import Estimate, QuadratureSpec, Status
+from .quadrature import DEFAULT_SPEC_1D, DEFAULT_SPEC_2D, Estimate, QuadratureSpec, Status
 from .verify import SUITE_IDS, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -76,13 +77,10 @@ def _load_potential(source: str):
         raise _UsageError(f"invalid potential spec: {exc}") from exc
 
 
-def _spec_from_args(args) -> QuadratureSpec:
-    return QuadratureSpec(
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        max_subdivisions=args.max_subdivisions,
-        infinite_map=args.infinite_map,
-    )
+def _spec_from_args(args, base: QuadratureSpec = DEFAULT_SPEC_1D) -> QuadratureSpec:
+    """base, with the quadrature flags that were given on the command line."""
+    given = {key: getattr(args, key) for key in _SPEC_FLAGS if hasattr(args, key)}
+    return dataclasses.replace(base, **given)
 
 
 def _floatify(obj):
@@ -126,13 +124,10 @@ def _finite_or_fail(est: Estimate, what: str) -> None:
 _GLOBAL_DEFAULTS = {
     "format": "json",
     "d": 3,
-    "rel_tol": 1e-8,
-    "abs_tol": 0.0,
-    "max_subdivisions": 400,
-    "infinite_map": "log",
     "seed": 0,
-    "threads": 1,
 }
+# quadrature flags; an absent one keeps the default spec of the command
+_SPEC_FLAGS = ("rel_tol", "abs_tol", "max_subdivisions", "infinite_map")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-subdivisions", type=int, default=S)
     common.add_argument("--infinite-map", choices=("log", "algebraic"), default=S)
     common.add_argument("--seed", type=int, default=S)
-    common.add_argument("--threads", type=int, default=S, help="worker cap for suite grids")
 
     parser = argparse.ArgumentParser(
         prog="bridgepot",
@@ -258,10 +252,9 @@ def _cmd_transform(args) -> int:
             raise _UsageError(f"transform {args.which} requires --t")
         bridge = BridgeSpec(args.t, tuple(x), tuple(y))
         est = (n_functional if args.which == "n" else s_functional)(V, bridge, spec)
-    elif args.which == "k":
-        est = k_transform(V, x, y, d)
-    elif args.which == "jt":
-        est = j_transform(V, x, y, d)
+    elif args.which in ("k", "jt"):
+        transform = k_transform if args.which == "k" else j_transform
+        est = transform(V, x, y, d, _spec_from_args(args, DEFAULT_SPEC_2D))
     else:
         est = newton_potential(V, x, d, spec)
     _finite_or_fail(est, f"transform {args.which}")
@@ -342,7 +335,7 @@ def _cmd_verify(args) -> int:
         key, _, val = item.partition("=")
         cfg[key.strip()] = _parse_cfg_value(val.strip())
     cfg.setdefault("seed", args.seed)
-    report = run_suite(args.suite, cfg, threads=args.threads)
+    report = run_suite(args.suite, cfg)
     rec = report.to_dict(include_runtime=args.timings)
     if args.format == "csv":
         lines = ["name,value,bound,passed"]
@@ -359,7 +352,7 @@ def _cmd_counterexample(args) -> int:
     cfg = {"seed": args.seed, "compact_terms": args.compact_terms}
     if args.radii:
         cfg["radii"] = [float(r) for r in args.radii.split(",")]
-    report = run_suite("counterexample", cfg, threads=args.threads)
+    report = run_suite("counterexample", cfg)
     rec = report.to_dict(include_runtime=args.timings)
     if args.format == "csv":
         lines = ["name,value,bound,passed"]

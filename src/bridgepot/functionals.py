@@ -33,7 +33,7 @@ import numpy as np
 from scipy import optimize as _scipy_optimize
 
 from .errors import BridgepotError, DimensionError, GeometryError
-from .growth import GrowthDiagnosis, Verdict, growth_diagnosis
+from .growth import GrowthDiagnosis, Verdict, growth_diagnosis, verdict_estimate
 from .kernels import as_dimension, newton_constant
 from .potentials import (
     BallIndicator,
@@ -313,7 +313,7 @@ def _k_like_radial_transform(
                 c = (r * r - s * s - nx * nx) / (2.0 * s * nx)
                 if -1.0 <= c <= 1.0:
                     g = math.acos(c)
-                    for a in (g - theta, theta - g, theta + g):
+                    for a in (g - theta, theta - g, theta + g, 2.0 * math.pi - theta - g):
                         if 0.0 < a < math.pi:
                             out.append(a)
         peak = 6.0 / math.sqrt(0.5 * s * ny + 1.0)
@@ -587,16 +587,7 @@ def newton_potential(
 
         ladder = [base * 10.0**k for k in range(1, 9)]
         diag = growth_diagnosis(truncated, ladder, rel_tol=1e-6)
-        if diag.verdict is Verdict.DIVERGENT:
-            return Estimate(math.inf, math.inf, Status.DIVERGED)
-        status = (
-            Status.CONVERGED
-            if diag.verdict is Verdict.CONVERGENT
-            else Status.MAX_SUBDIVISIONS_REACHED
-        )
-        return Estimate(diag.values[-1], abs(diag.values[-1] - diag.values[-2]), status).scaled(
-            cd * area
-        )
+        return verdict_estimate(diag).scaled(cd * area)
 
     if V.symmetry is Symmetry.AXIAL and _on_axis(xv):
         prof = axial_profile(V)
@@ -610,16 +601,7 @@ def newton_potential(
             base = max(abs(prof.z1_lo), abs(xv[0]), 4.0)
             ladder = [base * 4.0**k for k in range(1, 13)]
             diag = growth_diagnosis(truncated, ladder, rel_tol=2e-3)
-            if diag.verdict is Verdict.DIVERGENT:
-                return Estimate(math.inf, math.inf, Status.DIVERGED)
-            status = (
-                Status.CONVERGED
-                if diag.verdict is Verdict.CONVERGENT
-                else Status.MAX_SUBDIVISIONS_REACHED
-            )
-            return Estimate(
-                diag.values[-1], abs(diag.values[-1] - diag.values[-2]), status
-            ).scaled(cd)
+            return verdict_estimate(diag).scaled(cd)
         est = _axial_transform(V, float(xv[0]), 0.0, d, DEFAULT_SPEC_2D, kernel="newton")
         return est.scaled(cd)
 

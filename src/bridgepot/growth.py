@@ -28,7 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Verdict", "GrowthModel", "GrowthDiagnosis", "growth_diagnosis"]
+from .quadrature import Estimate, Status
+
+__all__ = ["Verdict", "GrowthModel", "GrowthDiagnosis", "growth_diagnosis", "verdict_estimate"]
 
 _R2_THRESHOLD = 0.99
 
@@ -123,3 +125,16 @@ def growth_diagnosis(
     else:
         verdict = Verdict.INCONCLUSIVE
     return GrowthDiagnosis(radii, values, model, slope, r2, verdict)
+
+
+def verdict_estimate(diag: GrowthDiagnosis) -> Estimate:
+    """The Estimate a growth verdict stands for.
+
+    DIVERGENT gives the +inf sentinel with DIVERGED status.  Otherwise the
+    last truncation is the value and the last increment its error bound;
+    the status is CONVERGED only for a CONVERGENT verdict.
+    """
+    if diag.verdict is Verdict.DIVERGENT:
+        return Estimate(math.inf, math.inf, Status.DIVERGED)
+    status = Status.CONVERGED if diag.verdict is Verdict.CONVERGENT else Status.MAX_SUBDIVISIONS_REACHED
+    return Estimate(diag.values[-1], abs(diag.values[-1] - diag.values[-2]), status)

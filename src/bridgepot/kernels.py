@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, DimensionError
-from .growth import Verdict, growth_diagnosis
+from .growth import growth_diagnosis, verdict_estimate
 from .quadrature import (
     DEFAULT_SPEC_1D,
     Estimate,
@@ -553,9 +553,4 @@ def kappa(
         _KAPPA_LADDER,
         rel_tol=0.02,
     )
-    if diag.verdict is Verdict.DIVERGENT:
-        return Estimate(math.inf, math.inf, Status.DIVERGED)
-    last = diag.values[-1]
-    tail_err = abs(diag.values[-1] - diag.values[-2])
-    status = Status.CONVERGED if diag.verdict is Verdict.CONVERGENT else Status.MAX_SUBDIVISIONS_REACHED
-    return Estimate(last, tail_err, status)
+    return verdict_estimate(diag)

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BridgepotError, DimensionError
-from .growth import Verdict, growth_diagnosis
+from .growth import growth_diagnosis, verdict_estimate
 from .kernels import as_dimension
 from .quadrature import (
     DEFAULT_SPEC_1D,
@@ -799,11 +799,7 @@ def lp_halfd_norm(
         else:
             base = max([b for b in prof.breakpoints if math.isfinite(b)], default=1.0)
             ladder = [base * 10.0**k for k in range(1, 9)]
-            diag = growth_diagnosis(truncated, ladder, rel_tol=1e-6)
-            if diag.verdict is Verdict.DIVERGENT:
-                return Estimate(math.inf, math.inf, Status.DIVERGED)
-            status = Status.CONVERGED if diag.verdict is Verdict.CONVERGENT else Status.MAX_SUBDIVISIONS_REACHED
-            raw = Estimate(diag.values[-1], abs(diag.values[-1] - diag.values[-2]), status)
+            raw = verdict_estimate(growth_diagnosis(truncated, ladder, rel_tol=1e-6))
     else:
         prof = axial_profile(V)
         area = sphere_area(d - 2)
@@ -837,11 +833,7 @@ def lp_halfd_norm(
             raw = Estimate(raw.value, abs(raw.value) * q.rel_tol * 10, Status.CONVERGED)
         else:
             ladder = [10.0**k for k in range(2, 10)]
-            diag = growth_diagnosis(truncated_ax, ladder, rel_tol=1e-6)
-            if diag.verdict is Verdict.DIVERGENT:
-                return Estimate(math.inf, math.inf, Status.DIVERGED)
-            status = Status.CONVERGED if diag.verdict is Verdict.CONVERGENT else Status.MAX_SUBDIVISIONS_REACHED
-            raw = Estimate(diag.values[-1], abs(diag.values[-1] - diag.values[-2]), status)
+            raw = verdict_estimate(growth_diagnosis(truncated_ax, ladder, rel_tol=1e-6))
 
     if not math.isfinite(raw.value):
         return Estimate(math.inf, math.inf, Status.DIVERGED)

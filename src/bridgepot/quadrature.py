@@ -8,6 +8,25 @@ Every integral in this package goes through one of three entry points:
                                         change of variables
     integrate_2d(f2, xspan, yspan, ...) adaptive tensor G7/K15 rectangles
 
+All three are one call into a single globally adaptive engine, ``_adapt``
+(the subregion heap of Berntsen, Espelid & Genz, ACM TOMS 17, 1991, with
+the QUADPACK dqk15 rule).  A box is a tuple (lo0, hi0) in 1D or
+(lo0, hi0, lo1, hi1) in 2D; a box rule evaluates a batch of boxes in one
+integrand call and answers value, error, split axis and |f| mass for each.
+The 1D rule always splits axis 0; the 2D rule splits the axis whose
+one-direction Gauss degradation differs more from the full rule.
+
+Stop rule.  While the summed error exceeds tol = max(abs_tol,
+rel_tol * |value|) and fewer than ``max_subdivisions`` splits are spent,
+each step bisects a batch of up to 8 of the worst boxes.  A batch stops
+taking boxes at the first one whose error is under tol / (4 * batch size),
+except when already the worst box is under that bar: then it takes the 8
+worst.  A box too short on its split axis to bisect in double precision
+leaves the heap with its error still counted (and counts as a split).  So
+refinement ends with budget left and the summed error above tol only when
+no box is left to bisect.  The status is CONVERGED when the summed error is
+within tol, MAX_SUBDIVISIONS_REACHED otherwise.
+
 The half-line routine maps u = center * exp(v) and expands the v-window
 outward from the peak until probe values become negligible, so a bump whose
 location varies over many orders of magnitude is always bracketed.  All
@@ -37,7 +56,6 @@ __all__ = [
     "integrate_finite",
     "integrate_half_line",
     "integrate_2d",
-    "gauss_legendre_nodes",
     "QuadratureError",
 ]
 
@@ -183,21 +201,17 @@ _WG = np.array(
         0.129484966168870,
     ]
 )
+_EPS = np.finfo(float).eps
 
 
-def gauss_legendre_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights mapped to [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w
+def _panel_eval(f: Callable, panels: np.ndarray):
+    """The 1D box rule: K15 and G7 on a batch of panels (rows lo, hi).
 
-
-def _panel_eval(f: Callable, lows: np.ndarray, highs: np.ndarray):
-    """Evaluate K15 and G7 on a batch of panels.
-
-    Returns (valK, valG, resabs) arrays, one entry per panel.
+    Returns (value, error, split_axis, resabs) arrays, one entry per panel;
+    the value is the K15 sum, the error |K15 - G7|, the split axis 0.
     """
-    c = 0.5 * (lows + highs)
-    h = 0.5 * (highs - lows)
+    c = 0.5 * (panels[:, 0] + panels[:, 1])
+    h = 0.5 * (panels[:, 1] - panels[:, 0])
     # nodes laid out panel-major: shape (npanels, 15)
     x = c[:, None] + h[:, None] * _XK[None, :]
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
@@ -206,26 +220,32 @@ def _panel_eval(f: Callable, lows: np.ndarray, highs: np.ndarray):
     valk = h * (y * _WK[None, :]).sum(axis=1)
     valg = h * (y[:, _IG] * _WG[None, :]).sum(axis=1)
     resabs = np.abs(h) * (np.abs(y) * _WK[None, :]).sum(axis=1)
-    return valk, valg, resabs
+    return valk, np.abs(valk - valg), np.zeros(valk.size, dtype=int), resabs
 
 
-def _refine(f, panels, spec: QuadratureSpec) -> tuple[float, float, Status, int]:
-    """Adaptive bisection over an initial list of (lo, hi) panels."""
-    lows = np.array([p[0] for p in panels], dtype=float)
-    highs = np.array([p[1] for p in panels], dtype=float)
-    valk, valg, resabs = _panel_eval(f, lows, highs)
-    neval = lows.size * 15
+def _adapt(rule: Callable, f: Callable, boxes: list[tuple], spec: QuadratureSpec) -> Estimate:
+    """Globally adaptive refinement of the summed integral of f over boxes.
 
-    heap: list[tuple[float, int, float, float, float]] = []
+    ``rule(f, boxes)`` answers (value, error, split_axis, resabs) for an
+    array of boxes, one row each.  The boxes sit in a heap keyed by error;
+    each step bisects a batch of the worst along their split axes in one
+    call of the rule, under the stop rule of the module docstring.
+    """
+    heap: list = []
     serial = 0
     total = 0.0
     total_err = 0.0
-    eps = np.finfo(float).eps
-    for lo, hi, vk, vg, ra in zip(lows, highs, valk, valg, resabs):
-        err = max(abs(vk - vg), 50.0 * eps * ra)
-        total += vk
+
+    def evaluate(batch: list) -> list:
+        arr = np.array(batch, dtype=float)
+        value, error, axis, resabs = rule(f, arr)
+        error = np.maximum(error, 50.0 * _EPS * resabs)
+        return list(zip(map(tuple, arr.tolist()), value, error, axis.tolist()))
+
+    for box, value, err, axis in evaluate(boxes):
+        total += value
         total_err += err
-        heapq.heappush(heap, (-err, serial, lo, hi, vk))
+        heapq.heappush(heap, (-err, serial, box, value, axis))
         serial += 1
 
     splits = 0
@@ -233,42 +253,43 @@ def _refine(f, panels, spec: QuadratureSpec) -> tuple[float, float, Status, int]
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if total_err <= tol:
             break
-        # bisect a batch of the worst panels in one integrand call
         batch = []
-        batch_budget = min(8, spec.max_subdivisions - splits)
-        while heap and len(batch) < batch_budget:
-            neg_err, _, lo, hi, vk = heapq.heappop(heap)
-            if -neg_err <= 0.25 * tol / max(len(batch), 1):
-                heapq.heappush(heap, (neg_err, serial, lo, hi, vk))
-                serial += 1
-                break
-            if (hi - lo) <= abs(lo) * 1e-15 + abs(hi) * 1e-15 + 1e-300:
-                # cannot subdivide further in double precision; keep its error
-                heapq.heappush(heap, (0.0, serial, lo, hi, vk))
-                serial += 1
+        budget = min(8, spec.max_subdivisions - splits)
+        take_worst = False
+        while heap and len(batch) < budget:
+            neg_err, _, box, value, axis = heapq.heappop(heap)
+            if not take_worst and -neg_err <= 0.25 * tol / max(len(batch), 1):
+                if batch:
+                    heapq.heappush(heap, (neg_err, serial, box, value, axis))
+                    serial += 1
+                    break
+                # every box is under the bar but their sum is not
+                take_worst = True
+            lo, hi = box[2 * axis], box[2 * axis + 1]
+            if hi - lo <= (abs(lo) + abs(hi)) * 1e-15 + 1e-300:
+                # cannot be split in double precision: retire it, error kept
                 splits += 1
                 continue
-            batch.append((lo, hi, vk, -neg_err))
+            batch.append((box, value, -neg_err, axis))
         if not batch:
             break
-        lows = np.array([b[0] for b in batch] + [0.5 * (b[0] + b[1]) for b in batch])
-        highs = np.array([0.5 * (b[0] + b[1]) for b in batch] + [b[1] for b in batch])
-        vks, vgs, ras = _panel_eval(f, lows, highs)
-        neval += lows.size * 15
-        child_err = np.maximum(np.abs(vks - vgs), 50.0 * eps * ras)
-        for i, (lo, hi, vk, err) in enumerate(batch):
-            mid = 0.5 * (lo + hi)
-            j = i + len(batch)
-            total += vks[i] + vks[j] - vk
-            total_err += child_err[i] + child_err[j] - err
-            heapq.heappush(heap, (-child_err[i], serial, lo, mid, vks[i]))
-            heapq.heappush(heap, (-child_err[j], serial + 1, mid, hi, vks[j]))
-            serial += 2
+        halves = []
+        for box, _, _, axis in batch:
+            k = 2 * axis
+            mid = 0.5 * (box[k] + box[k + 1])
+            halves += [box[: k + 1] + (mid,) + box[k + 2 :], box[:k] + (mid,) + box[k + 1 :]]
+        children = evaluate(halves)
+        for (_, value, err, _), left, right in zip(batch, children[::2], children[1::2]):
+            total += left[1] + right[1] - value
+            total_err += left[2] + right[2] - err
+            for box, cvalue, cerr, caxis in (left, right):
+                heapq.heappush(heap, (-cerr, serial, box, cvalue, caxis))
+                serial += 1
             splits += 1
 
     tol = max(spec.abs_tol, spec.rel_tol * abs(total))
     status = Status.CONVERGED if total_err <= tol else Status.MAX_SUBDIVISIONS_REACHED
-    return total, total_err, status, neval
+    return Estimate(total, total_err, status)
 
 
 def _initial_panels(a: float, b: float, breakpoints: Iterable[float]) -> list[tuple[float, float]]:
@@ -302,8 +323,7 @@ def integrate_finite(
         if b == a:
             return Estimate(0.0, 0.0, Status.CONVERGED)
         raise QuadratureError(f"bad interval [{a}, {b}]")
-    total, err, status, _ = _refine(f, _initial_panels(a, b, breakpoints), spec)
-    return Estimate(total, err, status)
+    return _adapt(_panel_eval, f, _initial_panels(a, b, breakpoints), spec)
 
 
 def _log_map_window(
@@ -398,8 +418,7 @@ def integrate_half_line(
     # thin the scan knots so the initial panel count stays modest
     if len(knots) > 30:
         knots = knots[:: max(1, len(knots) // 30)]
-    total, err, status, _ = _refine(g, _initial_panels(v_lo, v_hi, knots), spec)
-    return Estimate(total, err, status)
+    return _adapt(_panel_eval, g, _initial_panels(v_lo, v_hi, knots), spec)
 
 
 # --------------------------------------------------------------------------
@@ -408,12 +427,12 @@ def integrate_half_line(
 
 
 def _rect_eval(f2, rects: np.ndarray):
-    """Evaluate K15xK15 / G7xG7 on a batch of rectangles.
+    """The 2D box rule: K15xK15 / G7xG7 on a batch of rectangles.
 
     rects has shape (n, 4) columns (xlo, xhi, ylo, yhi).  Returns
-    (valk, errx, erry, resabs) per rectangle, where errx/erry compare the
-    full rule against the rule degraded to Gauss in one direction only; the
-    larger component tells which axis to split.
+    (value, error, split_axis, resabs) per rectangle.  The split axis is the
+    one whose one-direction degradation (the full rule against the rule
+    degraded to Gauss in that direction only) differs more.
     """
     n = rects.shape[0]
     cx = 0.5 * (rects[:, 0] + rects[:, 1])
@@ -433,10 +452,8 @@ def _rect_eval(f2, rects: np.ndarray):
     kg = area * np.einsum("nij,i,j->n", vals[:, :, _IG], _WK, _WG)
     gg = area * np.einsum("nij,i,j->n", vals[:, _IG, :][:, :, _IG], _WG, _WG)
     resabs = np.abs(area) * np.einsum("nij,i,j->n", np.abs(vals), _WK, _WK)
-    err = np.abs(kk - gg)
-    errx = np.abs(kk - gk)
-    erry = np.abs(kk - kg)
-    return kk, err, errx, erry, resabs
+    axis = np.where(np.abs(kk - gk) >= np.abs(kk - kg), 0, 1)
+    return kk, np.abs(kk - gg), axis, resabs
 
 
 def integrate_2d(
@@ -449,77 +466,12 @@ def integrate_2d(
 ) -> Estimate:
     """Adaptive tensor-product Gauss-Kronrod cubature on a rectangle.
 
-    Rectangles are kept in an error heap; the worst one is bisected along
-    the axis whose one-dimensional degradation error is larger.  f2 must
-    accept two equal-shape arrays (x, y) and return an array.
+    The breakpoints cut the rectangle into the initial grid of boxes; each
+    refinement bisects a box along the axis whose one-dimensional
+    degradation error is larger.  f2 must accept two equal-shape arrays
+    (x, y) and return an array.
     """
     xs = sorted({xspan[0], xspan[1], *(p for p in xbreaks if xspan[0] < p < xspan[1])})
     ys = sorted({yspan[0], yspan[1], *(p for p in ybreaks if yspan[0] < p < yspan[1])})
-    rects = []
-    for x0, x1 in zip(xs[:-1], xs[1:]):
-        for y0, y1 in zip(ys[:-1], ys[1:]):
-            rects.append((x0, x1, y0, y1))
-    rect_arr = np.array(rects, dtype=float)
-    kk, err, errx, erry, resabs = _rect_eval(f2, rect_arr)
-    eps = np.finfo(float).eps
-
-    heap: list[tuple[float, int, tuple, float, float, float]] = []
-    total = 0.0
-    total_err = 0.0
-    serial = 0
-    for r, vk, e, ex, ey, ra in zip(rects, kk, err, errx, erry, resabs):
-        e = max(e, 50.0 * eps * ra)
-        total += vk
-        total_err += e
-        heapq.heappush(heap, (-e, serial, r, vk, ex, ey))
-        serial += 1
-
-    splits = 0
-    while splits < spec.max_subdivisions:
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if total_err <= tol:
-            break
-        # split a batch of the worst rectangles in one integrand call
-        batch = []
-        batch_budget = min(8, spec.max_subdivisions - splits)
-        while heap and len(batch) < batch_budget:
-            neg_e, _, r, vk, ex, ey = heapq.heappop(heap)
-            if -neg_e <= 0.25 * tol / max(len(batch), 1):
-                heapq.heappush(heap, (neg_e, serial, r, vk, ex, ey))
-                serial += 1
-                break
-            x0, x1, y0, y1 = r
-            if (x1 - x0) < 1e-14 * (abs(x0) + abs(x1) + 1e-300) and (y1 - y0) < 1e-14 * (
-                abs(y0) + abs(y1) + 1e-300
-            ):
-                heapq.heappush(heap, (0.0, serial, r, vk, 0.0, 0.0))
-                serial += 1
-                splits += 1
-                continue
-            batch.append((r, vk, -neg_e, ex, ey))
-        if not batch:
-            break
-        children = []
-        for r, vk, err, ex, ey in batch:
-            x0, x1, y0, y1 = r
-            # split the axis with the larger directional error
-            if ex >= ey:
-                xm = 0.5 * (x0 + x1)
-                children.extend([(x0, xm, y0, y1), (xm, x1, y0, y1)])
-            else:
-                ym = 0.5 * (y0 + y1)
-                children.extend([(x0, x1, y0, ym), (x0, x1, ym, y1)])
-        ck, ce, cex, cey, cra = _rect_eval(f2, np.array(children, dtype=float))
-        ce = np.maximum(ce, 50.0 * eps * cra)
-        for i, (r, vk, err, _, _) in enumerate(batch):
-            j0, j1 = 2 * i, 2 * i + 1
-            total += ck[j0] + ck[j1] - vk
-            total_err += ce[j0] + ce[j1] - err
-            for j in (j0, j1):
-                heapq.heappush(heap, (-ce[j], serial, tuple(children[j]), ck[j], cex[j], cey[j]))
-                serial += 1
-            splits += 1
-
-    tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-    status = Status.CONVERGED if total_err <= tol else Status.MAX_SUBDIVISIONS_REACHED
-    return Estimate(total, total_err, status)
+    rects = [(x0, x1, y0, y1) for x0, x1 in zip(xs[:-1], xs[1:]) for y0, y1 in zip(ys[:-1], ys[1:])]
+    return _adapt(_rect_eval, f2, rects, spec)

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -119,14 +117,6 @@ class SuiteReport:
         }
 
 
-def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
-    """Map preserving order; thread pool only when requested."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
@@ -166,7 +156,7 @@ def _potentials_from_cfg(cfg: dict) -> list[Potential]:
 # ===========================================================================
 
 
-def _suite_est2(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
+def _suite_est2(cfg: dict) -> tuple[list[Finding], bool, dict]:
     betas = tuple(cfg.get("betas", (1.5, 2.0, 2.5, 3.0)))
     cs = tuple(cfg.get("cs", (0.25, 1.0, 4.0)))
     n = int(cfg.get("grid_n", 9))
@@ -201,13 +191,13 @@ def _suite_est2(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
         fnd.append(Finding(f"{label}.sandwich_violations", sandwich_bad, "== 0", sandwich_bad == 0))
         return fnd, ok and cap_ok and sandwich_bad == 0
 
-    for fnd, ok in _pmap(cell, [(b, c) for b in betas for c in cs], threads):
+    for fnd, ok in map(cell, [(b, c) for b in betas for c in cs]):
         findings.extend(fnd)
         all_ok = all_ok and ok
     return findings, all_ok, {"betas": list(betas), "cs": list(cs), "grid_n": n}
 
 
-def _suite_jk0(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
+def _suite_jk0(cfg: dict) -> tuple[list[Finding], bool, dict]:
     dims = tuple(int(d) for d in cfg.get("dims", (3, 4, 6)))
     samples = int(cfg.get("samples", 200))
     seed = int(cfg.get("seed", 123))
@@ -252,7 +242,7 @@ def _suite_jk0(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
     return findings, all_ok, {"dims": list(dims), "samples": samples, "seed": seed}
 
 
-def _suite_lu(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
+def _suite_lu(cfg: dict) -> tuple[list[Finding], bool, dict]:
     d = as_dimension(int(cfg.get("d", 3)))
     ts = tuple(float(t) for t in cfg.get("ts", (0.1, 1.0, 10.0)))
     samples = int(cfg.get("samples", 20))
@@ -285,7 +275,7 @@ def _suite_lu(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
         for t in ts
         for pi in range(samples)
     ]
-    for vi, t, pi, sv, nv, nv2 in _pmap(one, jobs, threads):
+    for vi, t, pi, sv, nv, nv2 in map(one, jobs):
         tag = {"potential": vi, "t": t, "pair": pi}
         if nv > 0 and sv > 0:
             ratios_u.append((sv / nv, tag))
@@ -315,7 +305,7 @@ def _suite_lu(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
     return findings, all_ok, {"d": d, "ts": list(ts), "samples": samples, "seed": seed}
 
 
-def _suite_main(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
+def _suite_main(cfg: dict) -> tuple[list[Finding], bool, dict]:
     d = as_dimension(int(cfg.get("d", 3)))
     potentials = _potentials_from_cfg(cfg)
     strategy = SearchStrategy(
@@ -346,7 +336,7 @@ def _suite_main(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
     return findings, all_ok, {"d": d, "n_potentials": len(potentials)}
 
 
-def _suite_d3(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
+def _suite_d3(cfg: dict) -> tuple[list[Finding], bool, dict]:
     seed = int(cfg.get("seed", 31))
     n_ident = int(cfg.get("samples_identity", 20))
     n_dom = int(cfg.get("samples_domination", 100))
@@ -387,7 +377,7 @@ def _suite_d3(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
         return kxy.value - kx0.value, slack
 
     jobs = [(rng.standard_normal(3) * 1.5, rng.standard_normal(3) * 1.5) for _ in range(n_dom)]
-    for margin, slack in _pmap(dom, jobs, threads):
+    for margin, slack in map(dom, jobs):
         worst_margin = max(worst_margin, margin)
         if margin > slack:
             dom_bad += 1
@@ -399,7 +389,7 @@ def _suite_d3(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
     return findings, ok, {"seed": seed, "samples_identity": n_ident, "samples_domination": n_dom}
 
 
-def _suite_prop14(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
+def _suite_prop14(cfg: dict) -> tuple[list[Finding], bool, dict]:
     d = as_dimension(int(cfg.get("d", 4)))
     if d < 4:
         raise BridgepotError("prop14 requires d >= 4")
@@ -443,7 +433,7 @@ def _suite_prop14(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
     return findings, all_ok, {"d": d, "n_potentials": len(potentials)}
 
 
-def _suite_counterexample(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
+def _suite_counterexample(cfg: dict) -> tuple[list[Finding], bool, dict]:
     d = as_dimension(int(cfg.get("d", 4)))
     radii = [float(r) for r in cfg.get("radii", (1e2, 1e3, 1e4, 1e5))]
     newton_points = int(cfg.get("newton_points", 25))
@@ -475,7 +465,7 @@ def _suite_counterexample(cfg: dict, threads: int) -> tuple[list[Finding], bool,
         x[0] = x1
         return newton_potential(V, x, d).value
 
-    vals = _pmap(newt, list(grid), threads)
+    vals = [newt(x1) for x1 in grid]
     # stabilized tail: maximal suffix with consecutive relative changes < 5%
     tail_start = len(vals) - 1
     for i in range(len(vals) - 1, 0, -1):
@@ -536,7 +526,7 @@ def _suite_counterexample(cfg: dict, threads: int) -> tuple[list[Finding], bool,
     return findings, ok, {"d": d, "radii": radii, "newton_points": newton_points}
 
 
-def _suite_lemma_const(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
+def _suite_lemma_const(cfg: dict) -> tuple[list[Finding], bool, dict]:
     d = as_dimension(int(cfg.get("d", 4)))
     b_div = float(cfg.get("beta_divergent", 2.4))
     b_con = float(cfg.get("beta_convergent", 2.6))
@@ -553,7 +543,7 @@ def _suite_lemma_const(cfg: dict, threads: int) -> tuple[list[Finding], bool, di
     return findings, div_ok and con_ok, {"d": d, "betas": [b_div, b_con]}
 
 
-def _suite_gen_neg(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
+def _suite_gen_neg(cfg: dict) -> tuple[list[Finding], bool, dict]:
     d = as_dimension(int(cfg.get("d", 3)))
     t = float(cfg.get("t", 1.0))
     paths = int(cfg.get("paths", 100_000))
@@ -594,7 +584,7 @@ def _suite_gen_neg(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
     return findings, ok, {"d": d, "paths": paths, "steps": steps, "seed": seed}
 
 
-def _suite_dilation(cfg: dict, threads: int) -> tuple[list[Finding], bool, dict]:
+def _suite_dilation(cfg: dict) -> tuple[list[Finding], bool, dict]:
     d = as_dimension(int(cfg.get("d", 3)))
     samples = int(cfg.get("samples", 50))
     seed = int(cfg.get("seed", 55))
@@ -657,7 +647,7 @@ _SUITES = {
 SUITE_IDS = tuple(sorted(_SUITES))
 
 
-def run_suite(suite_id: str, cfg: dict | None = None, threads: int = 1) -> SuiteReport:
+def run_suite(suite_id: str, cfg: dict | None = None) -> SuiteReport:
     """Run one verification suite and return its report.
 
     cfg overrides the suite's documented defaults (grids, seeds, sample
@@ -671,6 +661,6 @@ def run_suite(suite_id: str, cfg: dict | None = None, threads: int = 1) -> Suite
     cfg = dict(cfg or {})
     seed = int(cfg.get("seed", 0))
     start = time.perf_counter()
-    findings, passed, inputs = _SUITES[suite_id](cfg, threads)
+    findings, passed, inputs = _SUITES[suite_id](cfg)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return SuiteReport(suite_id, passed, findings, runtime_ms, seed, inputs)

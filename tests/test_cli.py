@@ -68,6 +68,19 @@ def test_transform_commands():
     assert json.loads(out)["value"] == pytest.approx((4 * math.pi) ** 1.5, rel=1e-9)
 
 
+@pytest.mark.parametrize("which", ["k", "jt"])
+def test_transform_k_and_jt_honour_quadrature_flags(which):
+    # the off-centre ball's curved edge needs many 2D subdivisions
+    ball = '{"type":"ball","center":[0.5,0,0],"radius":1.0,"amplitude":-1.0}'
+    probe = ("transform", which, "--potential", ball, "--x", "2,0,0", "--y", "1,0,0", "--rel-tol", "1e-3")
+    code, out, _ = run_cli(*probe)
+    rec = json.loads(out)
+    assert code == 0 and rec["status"] == "converged"
+    assert rec["error"] <= 1e-3 * abs(rec["value"])
+    code, out, err = run_cli(*probe, "--max-subdivisions", "1")
+    assert code == 1 and out == "" and "max_subdivisions_reached" in err
+
+
 def test_norm_commands():
     code, out, _ = run_cli(
         "norm", "newton", "--potential", BALL, "--grid-density", "3", "--multistarts", "1"

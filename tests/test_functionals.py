@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate as spi
 
 from bridgepot.errors import GeometryError
 from bridgepot.functionals import (
@@ -119,6 +120,36 @@ def test_k_general_position_mc_oracle():
     mean = total / n
     se = math.sqrt((total_sq / n - mean**2) / n) * vol
     assert abs(est.value - mean * vol) <= 3.0 * se
+
+
+def test_k_alpha_kink_past_pi_is_seeded():
+    # here theta + g > pi, so the cell window's edge in the alpha integrand
+    # sits at 2 pi - theta - g; unseeded, K came out 1.5e-5 low
+    x = np.array([-1.49355162, -0.84851583, 0.13962861])
+    y = np.array([1.04502011, -0.7514591, 1.05449303])
+    est = k_transform(BALL, x, y, 3)
+    # scipy reference: rays z = x + s w about the pole -x, where the unit
+    # ball's chord depends on the polar angle alone; k0 = e^{-c s} / s
+    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    pole = -x / nx
+    y_par = float(y @ pole)
+    y_perp = float(np.linalg.norm(y - y_par * pole))
+
+    def chord(theta):
+        b = nx * math.cos(theta)
+        root = math.sqrt(max(1.0 - (nx * math.sin(theta)) ** 2, 0.0))
+        return b - root, b + root
+
+    def ray(s, phi, theta):
+        c = 0.5 * (ny - y_par * math.cos(theta) - y_perp * math.sin(theta) * math.cos(phi))
+        return s * math.exp(-c * s) * math.sin(theta)
+
+    half, _ = spi.tplquad(
+        ray, 0.0, math.asin(1.0 / nx), 0.0, math.pi,
+        lambda th, ph: chord(th)[0], lambda th, ph: chord(th)[1], epsabs=0.0, epsrel=1e-10,
+    )
+    assert est.converged
+    assert est.value == pytest.approx(2.0 * half, rel=1e-6)
 
 
 def test_k_d3_domination():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as spi
 
 from bridgepot.quadrature import (
@@ -99,3 +101,128 @@ def test_2d_against_scipy():
 def test_nan_integrand_raises():
     with pytest.raises(QuadratureError):
         integrate_finite(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+
+# --------------------------------------------------------------------------
+# Property tests of the adaptive engine against scipy.integrate
+# --------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def _contract_holds(est, spec):
+    """CONVERGED promises error_bound <= max(abs_tol, rel_tol * |value|)."""
+    return not est.converged or est.error_bound <= max(spec.abs_tol, spec.rel_tol * abs(est.value))
+
+
+@st.composite
+def integrands_1d(draw):
+    """A smooth oscillating exponential on [a, b], plus |x - k|^p kinked at a random k."""
+    a = draw(st.floats(-5.0, 5.0))
+    b = a + draw(st.floats(0.1, 10.0))
+    amp, rate = draw(st.floats(-3.0, 3.0)), draw(st.floats(-1.0, 1.0))
+    freq, phase = draw(st.floats(0.0, 6.0)), draw(st.floats(0.0, 3.0))
+    kink = draw(st.none() | st.floats(a, b))
+    power = draw(st.sampled_from([0.5, 1.0, 1.5]))
+
+    def f(x):
+        y = amp * np.exp(rate * x) * np.cos(freq * x + phase)
+        return y if kink is None else y + np.abs(x - kink) ** power
+
+    return f, a, b, kink
+
+
+@st.composite
+def integrands_2d(draw):
+    """A smooth 2D exponential wave on a rectangle, plus a kink |x - k| along y."""
+    x0, y0 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    xspan = (x0, x0 + draw(st.floats(0.2, 3.0)))
+    yspan = (y0, y0 + draw(st.floats(0.2, 3.0)))
+    amp, rx, ry = draw(st.floats(-3.0, 3.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    fx, fy = draw(st.floats(0.0, 4.0)), draw(st.floats(0.0, 4.0))
+    kink = draw(st.none() | st.floats(*xspan))
+
+    def f2(x, y):
+        out = amp * np.exp(rx * x + ry * y) * np.cos(fx * x + fy * y)
+        return out if kink is None else out + np.abs(x - kink) * (1.0 + y * y)
+
+    return f2, xspan, yspan, kink
+
+
+@PROPERTY
+@given(integrands_1d())
+def test_finite_matches_scipy_quad(case):
+    f, a, b, kink = case
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12)
+    est = integrate_finite(f, a, b, spec)
+    ref, _ = spi.quad(f, a, b, points=None if kink is None else [kink],
+                      epsabs=1e-14, epsrel=1e-12, limit=200)
+    assert est.converged and _contract_holds(est, spec)
+    assert abs(est.value - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+@PROPERTY
+@given(integrands_2d())
+def test_2d_matches_scipy_dblquad(case):
+    f2, (xa, xb), (ya, yb), _ = case
+    spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10, max_subdivisions=4000)
+    est = integrate_2d(f2, (xa, xb), (ya, yb), spec)
+    ref, _ = spi.dblquad(lambda y, x: f2(x, y), xa, xb, ya, yb, epsabs=1e-12, epsrel=1e-11)
+    assert est.converged and _contract_holds(est, spec)
+    assert abs(est.value - ref) <= 1e-7 * (1.0 + abs(ref))
+
+
+@PROPERTY
+@given(
+    integrands_1d(),
+    st.floats(1e-12, 1e-3),
+    st.sampled_from([0.0, 1e-9]),
+    st.integers(1, 200),
+    st.sampled_from(["log", "algebraic"]),
+    st.floats(-0.5, 3.0),
+)
+def test_converged_implies_error_within_tolerance(case, rel_tol, abs_tol, budget, infinite_map, power):
+    f, a, b, _ = case
+    spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol, max_subdivisions=budget,
+                          infinite_map=infinite_map)
+    assert _contract_holds(integrate_finite(f, a, b, spec), spec)
+    tail = lambda u: u**power * np.exp(-u) * (1.0 + np.abs(np.sin(3.0 * u)))
+    assert _contract_holds(integrate_half_line(tail, spec, center=1.0), spec)
+    f2 = lambda x, y: f(x) * np.cos(y)
+    assert _contract_holds(integrate_2d(f2, (a, b), (0.0, 2.0), spec), spec)
+
+
+@PROPERTY
+@given(st.floats(1.0, 30.0), st.floats(1e-14, 1e-9), st.integers(1, 2000))
+def test_max_subdivisions_reached_only_with_budget_spent(freq, rel_tol, budget):
+    # every split evaluates two new boxes, so an integral that gives up has
+    # evaluated its one initial box plus two per unit of budget
+    spec = QuadratureSpec(rel_tol=rel_tol, max_subdivisions=budget)
+    calls = {"points": 0}
+
+    def counted(f):
+        def g(*xs):
+            calls["points"] += xs[0].size
+            return f(*xs)
+        return g
+
+    cusps = lambda x: np.sqrt(np.abs(np.sin(freq * x)))
+    est = integrate_finite(counted(cusps), 0.0, 3.0, spec)
+    if est.status is Status.MAX_SUBDIVISIONS_REACHED:
+        assert calls["points"] == 15 * (1 + 2 * budget)
+    calls["points"] = 0
+    est = integrate_2d(counted(lambda x, y: cusps(x) * np.cos(y)), (0.0, 3.0), (0.0, 1.0), spec)
+    if est.status is Status.MAX_SUBDIVISIONS_REACHED:
+        assert calls["points"] == 225 * (1 + 2 * budget)
+
+
+def test_many_small_panel_errors_do_not_stop_refinement():
+    # 200 breakpoints make ~600 panels whose errors are each under tol/4
+    # while their sum is above tol; refinement must go on to convergence
+    f = lambda x: np.sqrt(np.abs(np.sin(7.0 * x)))
+    spec = QuadratureSpec(rel_tol=1e-12, max_subdivisions=100000)
+    est = integrate_finite(f, 0.0, 10.0, spec, breakpoints=np.linspace(0.0, 10.0, 202)[1:-1])
+    assert est.converged and _contract_holds(est, spec)
+    ref, _ = spi.quad(f, 0.0, 10.0, points=np.arange(1, 23) * math.pi / 7.0,
+                      epsabs=0.0, epsrel=1e-13, limit=500)
+    assert est.value == pytest.approx(ref, rel=1e-11)

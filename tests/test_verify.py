@@ -51,9 +51,3 @@ def test_suite_determinism():
     a = run_suite("jk0", {"samples": 10, "seed": 5}).to_dict(include_runtime=False)
     b = run_suite("jk0", {"samples": 10, "seed": 5}).to_dict(include_runtime=False)
     assert a == b
-
-
-def test_threads_do_not_change_results():
-    a = run_suite("est2", {"grid_n": 3}, threads=1).to_dict(include_runtime=False)
-    b = run_suite("est2", {"grid_n": 3}, threads=4).to_dict(include_runtime=False)
-    assert a == b
