@@ -31,9 +31,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize as _scipy_optimize
+from scipy import special as _scipy_special
 
 from .errors import BridgepotError, DimensionError, GeometryError
-from .growth import GrowthDiagnosis, Verdict, growth_diagnosis, verdict_estimate
+from .growth import GrowthDiagnosis, Verdict, growth_diagnosis, shell_sum, verdict_estimate
 from .kernels import as_dimension, newton_constant
 from .potentials import (
     BallIndicator,
@@ -384,16 +385,17 @@ def _axial_transform(
     d: int,
     q: QuadratureSpec,
     kernel: str,
-    z1_cap: float | None = None,
+    z1_window: tuple[float, float] = (-math.inf, math.inf),
 ) -> Estimate:
     """integral of |V| k(z - x, y) dz for axial V with x = x1 e1, y = y1 e1.
 
-    kernel is "k0" or "newton".  The rho variable is normalized to the
+    kernel is "k0" or "newton".  Only z1 in ``z1_window`` (intersected with
+    the profile) is integrated.  The rho variable is normalized to the
     profile cap (eta = rho / cap(z1)) so the domain is a rectangle.
     """
     prof = axial_profile(V)
-    z_lo = prof.z1_lo
-    z_hi = prof.z1_hi if z1_cap is None else min(prof.z1_hi, z1_cap)
+    z_lo = max(prof.z1_lo, z1_window[0])
+    z_hi = min(prof.z1_hi, z1_window[1])
     if not (z_hi > z_lo):
         return Estimate(0.0, 0.0, Status.CONVERGED)
     if math.isinf(z_hi):
@@ -572,35 +574,29 @@ def newton_potential(
             return prof.abs_value(r) * r ** (d - 1) * shell ** (2.0 - d)
 
         breaks = sorted({R, *prof.breakpoints})
+
+        def shell(lo: float, hi: float) -> Estimate:
+            return integrate_finite(integrand, lo, hi, q, breakpoints=breaks)
+
         if math.isfinite(prof.support):
-            est = integrate_finite(
-                integrand, 0.0, prof.support, q,
-                breakpoints=[b for b in breaks if 0 < b < prof.support],
-            )
-            return est.scaled(cd * area)
+            return shell(0.0, prof.support).scaled(cd * area)
         base = max([b for b in breaks if math.isfinite(b) and b > 0], default=1.0)
-
-        def truncated(rad: float) -> float:
-            return integrate_finite(
-                integrand, 0.0, rad, q, breakpoints=[b for b in breaks if 0 < b < rad]
-            ).value
-
         ladder = [base * 10.0**k for k in range(1, 9)]
-        diag = growth_diagnosis(truncated, ladder, rel_tol=1e-6)
+        diag = growth_diagnosis(shell_sum(shell, 0.0), ladder, rel_tol=1e-6)
         return verdict_estimate(diag).scaled(cd * area)
 
     if V.symmetry is Symmetry.AXIAL and _on_axis(xv):
         prof = axial_profile(V)
         if math.isinf(prof.z1_hi):
             # bounded verdict comes from the growth ladder over truncations
-            def truncated(R: float) -> float:
+            def shell(lo: float, hi: float) -> Estimate:
                 return _axial_transform(
-                    V, float(xv[0]), 0.0, d, DEFAULT_SPEC_2D, kernel="newton", z1_cap=R
-                ).value
+                    V, float(xv[0]), 0.0, d, DEFAULT_SPEC_2D, "newton", z1_window=(lo, hi)
+                )
 
             base = max(abs(prof.z1_lo), abs(xv[0]), 4.0)
             ladder = [base * 4.0**k for k in range(1, 13)]
-            diag = growth_diagnosis(truncated, ladder, rel_tol=2e-3)
+            diag = growth_diagnosis(shell_sum(shell, prof.z1_lo), ladder, rel_tol=2e-3)
             return verdict_estimate(diag).scaled(cd)
         est = _axial_transform(V, float(xv[0]), 0.0, d, DEFAULT_SPEC_2D, kernel="newton")
         return est.scaled(cd)
@@ -720,7 +716,7 @@ def _chi2_cdf_fast(k: int, x: np.ndarray) -> np.ndarray:
     # odd dof: P(k) = erf(sqrt(h)) - e^-h * (2 sqrt(h)/sqrt(pi)) * sum with
     # successive terms scaled by 2h/(2j+1) (the h^{j+1/2}/Gamma(j+3/2) ladder)
     rt = np.sqrt(h)
-    out = np.vectorize(math.erf)(rt)
+    out = _scipy_special.erf(rt)
     term = 2.0 / math.sqrt(math.pi) * rt * np.exp(-h)
     acc = np.zeros_like(h)
     coeff = np.ones_like(h)

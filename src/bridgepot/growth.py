@@ -17,6 +17,9 @@ geometric increment sequence.
 A positive slope with r^2 >= 0.99 under either model (and non-vanishing
 increments) is ruled divergent; tail increments settling below tolerance
 are ruled convergent; anything else is inconclusive.
+
+Where the truncation is an integration range, ``shell_sum`` makes each rung
+integrate only its new shell and add it to a running sum.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ import numpy as np
 
 from .quadrature import Estimate, Status
 
-__all__ = ["Verdict", "GrowthModel", "GrowthDiagnosis", "growth_diagnosis", "verdict_estimate"]
+__all__ = [
+    "Verdict", "GrowthModel", "GrowthDiagnosis", "growth_diagnosis", "shell_sum", "verdict_estimate"
+]
 
 _R2_THRESHOLD = 0.99
 
@@ -138,3 +143,26 @@ def verdict_estimate(diag: GrowthDiagnosis) -> Estimate:
         return Estimate(math.inf, math.inf, Status.DIVERGED)
     status = Status.CONVERGED if diag.verdict is Verdict.CONVERGENT else Status.MAX_SUBDIVISIONS_REACHED
     return Estimate(diag.values[-1], abs(diag.values[-1] - diag.values[-2]), status)
+
+
+def shell_sum(
+    shell: Callable[[float, float], Estimate], start: float
+) -> Callable[[float], Estimate]:
+    """The truncation R -> integral over [start, R], one new shell per call.
+
+    Each call adds ``shell(previous radius, R)`` to the running total and
+    returns it; for a nonnegative integrand the sum meets the relative
+    tolerance each shell meets.  Radii not above the previous raise ValueError.
+    """
+    last = start
+    total = Estimate(0.0, 0.0, Status.CONVERGED)
+
+    def truncated(radius: float) -> Estimate:
+        nonlocal last, total
+        if not radius > last:
+            raise ValueError(f"shell radius {radius} is not above the previous {last}")
+        total = total + shell(last, radius)
+        last = radius
+        return total
+
+    return truncated

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, DimensionError
-from .growth import growth_diagnosis, verdict_estimate
+from .growth import growth_diagnosis, shell_sum, verdict_estimate
 from .quadrature import (
     DEFAULT_SPEC_1D,
     Estimate,
@@ -476,8 +476,9 @@ def directional_shell_integral(
     r_max: float = math.inf,
     c_exp: float = 1.0,
     q: QuadratureSpec = DEFAULT_SPEC_1D,
+    r_min: float = 1.0,
 ) -> Estimate:
-    """int_{1 < |w| < r_max} exp(-c (|w| - w.e)) |w|^{-beta} dw  (e a unit vector).
+    """int_{r_min < |w| < r_max} exp(-c (|w| - w.e)) |w|^{-beta} dw  (e a unit vector).
 
     Reduced to (r, phi) with the spherical Jacobian r^{d-1} sin^{d-2} phi.
     Finite iff beta > (d+1)/2 when r_max = inf; the caller decides how to
@@ -503,15 +504,17 @@ def directional_shell_integral(
         return out
 
     if math.isinf(r_max):
+        if r_min != 1.0:
+            raise ValueError("an unbounded shell integral starts at radius 1")
         # mapped integrand behaves like e^{(pw + 1 - (d-1)/2) v} at large v;
         # a nonnegative rate means the full integral is infinite
         if pw + 1.0 - 0.5 * (d - 1.0) >= 0.0:
             return Estimate(math.inf, math.inf, Status.DIVERGED)
         est = integrate_half_line(integrand, q, center=2.0, must_cover=(0.5, 100.0))
         return est.scaled(area)
-    if r_max <= 1.0:
+    if r_max <= r_min:
         return Estimate(0.0, 0.0, Status.CONVERGED)
-    est = integrate_finite(integrand, 0.0, math.log(r_max), q, breakpoints=[1.0, 3.0])
+    est = integrate_finite(integrand, math.log(r_min), math.log(r_max), q, breakpoints=[1.0, 3.0])
     return est.scaled(area)
 
 
@@ -548,9 +551,9 @@ def kappa(
         return Estimate(val, err, inner.status)
 
     beta = float(exponent_override)
-    diag = growth_diagnosis(
-        lambda r: directional_shell_integral(d, beta, r_max=r, q=q),
-        _KAPPA_LADDER,
-        rel_tol=0.02,
-    )
+
+    def shell(lo: float, hi: float) -> Estimate:
+        return directional_shell_integral(d, beta, r_max=hi, q=q, r_min=lo)
+
+    diag = growth_diagnosis(shell_sum(shell, 1.0), _KAPPA_LADDER, rel_tol=0.02)
     return verdict_estimate(diag)

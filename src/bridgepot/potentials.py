@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BridgepotError, DimensionError
-from .growth import growth_diagnosis, verdict_estimate
+from .growth import growth_diagnosis, shell_sum, verdict_estimate
 from .kernels import as_dimension
 from .quadrature import (
     DEFAULT_SPEC_1D,
@@ -786,28 +786,24 @@ def lp_halfd_norm(
         def integrand(r: np.ndarray) -> np.ndarray:
             return prof.abs_value(r) ** p * r ** (d - 1)
 
-        def truncated(R: float) -> float:
-            lo = 0.0
-            bps = [b for b in prof.breakpoints if b < R]
-            return area * integrate_finite(integrand, lo, R, q, breakpoints=bps).value
+        def shell(lo: float, hi: float) -> Estimate:
+            est = integrate_finite(integrand, lo, hi, q, breakpoints=prof.breakpoints)
+            return est.scaled(area)
 
         if math.isfinite(prof.support):
-            est = integrate_finite(
-                integrand, 0.0, prof.support, q, breakpoints=list(prof.breakpoints)
-            )
-            raw = est.scaled(area)
+            raw = shell(0.0, prof.support)
         else:
             base = max([b for b in prof.breakpoints if math.isfinite(b)], default=1.0)
             ladder = [base * 10.0**k for k in range(1, 9)]
-            raw = verdict_estimate(growth_diagnosis(truncated, ladder, rel_tol=1e-6))
+            raw = verdict_estimate(growth_diagnosis(shell_sum(shell, 0.0), ladder, rel_tol=1e-6))
     else:
         prof = axial_profile(V)
         area = sphere_area(d - 2)
 
-        def truncated_ax(R: float) -> float:
-            lo, hi = prof.z1_lo, min(prof.z1_hi, R)
+        def shell_ax(lo: float, hi: float) -> Estimate:
+            lo, hi = max(prof.z1_lo, lo), min(prof.z1_hi, hi)
             if hi <= lo:
-                return 0.0
+                return Estimate(0.0, 0.0, Status.CONVERGED)
 
             def outer(z1: np.ndarray) -> np.ndarray:
                 out = np.zeros_like(z1)
@@ -825,15 +821,16 @@ def lp_halfd_norm(
                     out[i] = inner.value
                 return out
 
-            bps = [b for b in prof.breakpoints_z1 if lo < b < hi]
-            return area * integrate_finite(outer, lo, hi, q, breakpoints=bps).value
+            est = integrate_finite(outer, lo, hi, q, breakpoints=prof.breakpoints_z1)
+            return est.scaled(area)
 
         if math.isfinite(prof.z1_hi):
-            raw = Estimate(truncated_ax(prof.z1_hi), 0.0, Status.CONVERGED)
-            raw = Estimate(raw.value, abs(raw.value) * q.rel_tol * 10, Status.CONVERGED)
+            raw = shell_ax(prof.z1_lo, prof.z1_hi)
         else:
             ladder = [10.0**k for k in range(2, 10)]
-            raw = verdict_estimate(growth_diagnosis(truncated_ax, ladder, rel_tol=1e-6))
+            raw = verdict_estimate(
+                growth_diagnosis(shell_sum(shell_ax, -math.inf), ladder, rel_tol=1e-6)
+            )
 
     if not math.isfinite(raw.value):
         return Estimate(math.inf, math.inf, Status.DIVERGED)

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special as sps
+from scipy.stats import chi2 as chi2_dist
 
+from bridgepot.functionals import _chi2_cdf_fast
 from bridgepot.special import (
     ball_volume,
     chi2_cdf,
@@ -66,3 +71,16 @@ def test_norm_cdf():
 
     x = np.linspace(-6, 6, 41)
     assert np.allclose(norm_cdf(x), norm.cdf(x), atol=1e-14)
+
+
+@given(hnp.arrays(float, st.integers(1, 40), elements=st.floats(-40.0, 40.0)))
+def test_norm_cdf_matches_ndtr(x):
+    assert np.allclose(norm_cdf(x), sps.ndtr(x), rtol=1e-14, atol=1e-300)
+
+
+@given(
+    st.integers(1, 6),
+    hnp.arrays(float, st.integers(1, 40), elements=st.floats(0.0, 200.0)),
+)
+def test_chi2_cdf_fast_matches_scipy(k, x):
+    assert np.allclose(_chi2_cdf_fast(k, x), chi2_dist.cdf(x, k), rtol=1e-10, atol=1e-13)
