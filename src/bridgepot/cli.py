@@ -252,9 +252,12 @@ def _cmd_transform(args) -> int:
             raise _UsageError(f"transform {args.which} requires --t")
         bridge = BridgeSpec(args.t, tuple(x), tuple(y))
         est = (n_functional if args.which == "n" else s_functional)(V, bridge, spec)
-    elif args.which in ("k", "jt"):
-        transform = k_transform if args.which == "k" else j_transform
-        est = transform(V, x, y, d, _spec_from_args(args, DEFAULT_SPEC_2D))
+    elif args.which == "k":
+        est = k_transform(V, x, y, d, _spec_from_args(args, DEFAULT_SPEC_2D))
+    elif args.which == "jt":
+        # without quadrature flags j_transform picks its spec per route
+        given = any(hasattr(args, key) for key in _SPEC_FLAGS)
+        est = j_transform(V, x, y, d, _spec_from_args(args, DEFAULT_SPEC_2D) if given else None)
     else:
         est = newton_potential(V, x, d, spec)
     _finite_or_fail(est, f"transform {args.which}")

@@ -59,6 +59,7 @@ from .quadrature import (
     integrate_2d,
     integrate_finite,
     integrate_half_line,
+    worst_status,
 )
 from .special import norm_cdf, sin_power_antideriv, sphere_area
 
@@ -259,7 +260,10 @@ def _k_like_radial_transform(
     The alpha integral (with the azimuthal cell mass folded in) is done
     adaptively per s node with the cell-window transition angles, which
     satisfy cos(alpha +- theta) = (r^2 - s^2 - |x|^2) / (2 s |x|), seeded
-    as breakpoints; an adaptive s integral runs outside.
+    as breakpoints; an adaptive s integral runs outside.  The alpha
+    integrals of one outer call advance together (``integrate_finite`` over
+    a sequence of intervals), and the worst of their statuses reaches the
+    result.
     """
     prof = radial_profile(V)
     xv = np.asarray(x, dtype=float).reshape(-1)
@@ -289,15 +293,14 @@ def _k_like_radial_transform(
         rel_tol=max(q.rel_tol * 0.1, 1e-13), abs_tol=0.0, max_subdivisions=200
     )
 
-    def alpha_integrand(s: float, alpha: np.ndarray) -> np.ndarray:
-        alpha = np.asarray(alpha, dtype=float)
+    def alpha_integrand(s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         omc = 2.0 * np.sin(0.5 * alpha) ** 2
         A = s * s + nx * nx + 2.0 * s * nx * np.cos(alpha) * ct
         B = 2.0 * s * nx * np.sin(alpha) * st
         mass = np.zeros_like(alpha)
         for lo, hi, amp, expo in cells:
             mass += _azimuthal_cell_mass(A, B, lo, hi, amp, expo, m)
-        logk = kernel_log(np.full_like(alpha, s), omc)
+        logk = kernel_log(s, omc)
         out = np.zeros_like(alpha)
         good = mass > 0.0
         out[good] = (
@@ -323,23 +326,28 @@ def _k_like_radial_transform(
                 out.append(a)
         return out
 
+    inner_status = Status.CONVERGED
+
     def s_integrand(s_vec: np.ndarray) -> np.ndarray:
+        nonlocal inner_status
         s_vec = np.asarray(s_vec, dtype=float)
-        out = np.empty_like(s_vec)
-        for i, s in enumerate(s_vec):
-            if s <= 0.0:
-                out[i] = 0.0
-                continue
-            inner = integrate_finite(
-                lambda a, s=s: alpha_integrand(s, a),
-                0.0,
-                math.pi,
-                inner_spec,
-                breakpoints=alpha_kinks(s),
-            )
-            with np.errstate(divide="ignore"):
-                out[i] = inner.value * math.exp(min((d - 1.0) * math.log(s), 700.0))
+        out = np.zeros_like(s_vec)
+        live = np.flatnonzero(s_vec > 0.0)
+        s_live = s_vec[live]
+        inner = integrate_finite(
+            lambda owner, a: alpha_integrand(s_live[owner], a),
+            [0.0] * live.size,
+            [math.pi] * live.size,
+            inner_spec,
+            [alpha_kinks(s) for s in s_live],
+        )
+        for i, s, est in zip(live, s_live, inner):
+            inner_status = worst_status(inner_status, est.status)
+            out[i] = est.value * math.exp(min((d - 1.0) * math.log(s), 700.0))
         return out
+
+    def with_inner_status(est: Estimate) -> Estimate:
+        return Estimate(est.value, est.error_bound, worst_status(est.status, inner_status))
 
     sbreaks = sorted({b for r in radii for b in (abs(nx - r), nx + r) if b > 0.0})
     support = prof.support
@@ -350,11 +358,11 @@ def _k_like_radial_transform(
         est = integrate_finite(
             s_integrand, 0.0, s_max, q, breakpoints=[b for b in sbreaks if b < s_max]
         )
-        return est.scaled(area)
+        return with_inner_status(est).scaled(area)
     center = max(sbreaks[0] if sbreaks else 1.0, 1e-6)
     upper = max(sbreaks[-1] if sbreaks else 1.0, nx + 1.0) * 10.0
     est = integrate_half_line(s_integrand, q, center=center, must_cover=(center * 1e-3, upper))
-    return est.scaled(area)
+    return with_inner_status(est).scaled(area)
 
 
 def _radial_signed_cells(V: Potential):
@@ -608,7 +616,7 @@ def newton_potential(
 
 
 def j_transform(
-    V: Potential, x, y, d=None, q: QuadratureSpec = DEFAULT_SPEC_2D
+    V: Potential, x, y, d=None, q: QuadratureSpec | None = None
 ) -> Estimate:
     """int J(z - x, y) |V(z)| dz.
 
@@ -617,6 +625,10 @@ def j_transform(
     Riesz kernel with an explicit gamma constant.  d >= 4 with y != 0: the
     time integration order is swapped and the inner Gaussian means of |V|
     are integrated over the drift time (piecewise-constant radial profiles).
+
+    A given spec q is used on every route.  Without one, the 1D routes (the
+    radial Newton potential, the drift-time integral) use DEFAULT_SPEC_1D
+    and the others DEFAULT_SPEC_2D.
     """
     xv = np.asarray(x, dtype=float).reshape(-1)
     yv = np.asarray(y, dtype=float).reshape(-1)
@@ -624,9 +636,11 @@ def j_transform(
     ny = float(np.linalg.norm(yv))
     if ny == 0.0:
         const = math.gamma(d / 2.0 - 1.0) * 4.0 ** (d / 2.0 - 1.0) / newton_constant(d)
-        return newton_potential(V, xv, d, DEFAULT_SPEC_1D if V.symmetry is Symmetry.RADIAL else q).scaled(const)
+        if q is None:
+            q = DEFAULT_SPEC_1D if V.symmetry is Symmetry.RADIAL else DEFAULT_SPEC_2D
+        return newton_potential(V, xv, d, q).scaled(const)
     if d == 3:
-        return k_transform(V, xv, yv, d, q).scaled(_TWO_SQRT_PI)
+        return k_transform(V, xv, yv, d, q or DEFAULT_SPEC_2D).scaled(_TWO_SQRT_PI)
     if V.symmetry is not Symmetry.RADIAL:
         raise GeometryError("j_transform at d >= 4 supports radial potentials")
     prof = radial_profile(V)
@@ -651,7 +665,7 @@ def j_transform(
 
     tau_far = (nx + sup + 10.0) / ny + (nx + sup + 10.0) ** 2
     est = integrate_half_line(
-        inner, DEFAULT_SPEC_1D, center=max(sup, 1.0) / ny, must_cover=(1e-9, tau_far)
+        inner, q or DEFAULT_SPEC_1D, center=max(sup, 1.0) / ny, must_cover=(1e-9, tau_far)
     )
     return est.scaled((4.0 * math.pi) ** (d / 2.0))
 
@@ -733,8 +747,10 @@ _GL64 = np.polynomial.legendre.leggauss(64)
 def _ball_overlap_slice(R: float, mu: np.ndarray, sigma: np.ndarray, d: int) -> np.ndarray:
     """Slice formula: integrate the axis coordinate against chi-squared mass.
 
-    A composite 2 x 64 Gauss rule split at the Gaussian center keeps the
-    absolute error near 1e-12 over the whole parameter range.
+    A composite 2 x 64 Gauss rule split at the Gaussian center.  Against
+    scipy.stats.ncx2 (|m| in [0, 3], sigma in [0.05, 2], R = 1) its absolute
+    error reaches 5.1e-7 at d = 4 and 1.8e-8 at d = 6, worst at the
+    smallest sigma with |m| = R.
     """
     mu = np.atleast_1d(mu)
     sigma = np.atleast_1d(np.broadcast_to(sigma, mu.shape).copy())
@@ -789,8 +805,9 @@ def _radial_gaussian_mean(
         )
     mu_flat = np.atleast_1d(mu).ravel()
     sg_flat = np.atleast_1d(np.broadcast_to(sigma, np.shape(mu))).ravel()
-    out = np.empty_like(mu_flat)
+    out = np.zeros_like(mu_flat)
     sup = prof.support if math.isfinite(prof.support) else None
+    probes = []  # (index into out, lo, hi) of the means left to integrate
     for i, (m, sg) in enumerate(zip(mu_flat, sg_flat)):
         if sg <= 1e-150 * (m + 1.0):
             # deterministic limit: the Gaussian mean collapses to a point value
@@ -799,16 +816,26 @@ def _radial_gaussian_mean(
         hi = sup if sup is not None else m + 10.0 * sg
         hi = min(hi, m + 10.0 * sg)
         lo = max(0.0, m - 10.0 * sg)
-        if hi <= lo:
-            out[i] = 0.0
-            continue
-        est = integrate_finite(
-            lambda s: prof.abs_value(s) * _q3_density(s, m, sg),
-            lo,
-            hi,
-            q,
-            breakpoints=[b for b in prof.breakpoints if lo < b < hi],
-        )
+        if hi > lo:
+            probes.append((i, lo, hi))
+
+    def integrand(owner: np.ndarray, s: np.ndarray) -> np.ndarray:
+        # the density takes one (mu, sigma) at a time
+        vals = np.empty_like(s)
+        for k in np.unique(owner):
+            sel = owner == k
+            i = probes[k][0]
+            vals[sel] = prof.abs_value(s[sel]) * _q3_density(s[sel], mu_flat[i], sg_flat[i])
+        return vals
+
+    ests = integrate_finite(
+        integrand,
+        [lo for _, lo, _ in probes],
+        [hi for _, _, hi in probes],
+        q,
+        [[b for b in prof.breakpoints if lo < b < hi] for _, lo, hi in probes],
+    )
+    for (i, _, _), est in zip(probes, ests):
         out[i] = est.value
     return out.reshape(np.shape(mu))
 

@@ -50,6 +50,7 @@ from .quadrature import (
     QuadratureSpec,
     Status,
     integrate_finite,
+    worst_status,
 )
 from .special import ball_volume, sphere_area
 
@@ -805,23 +806,27 @@ def lp_halfd_norm(
             if hi <= lo:
                 return Estimate(0.0, 0.0, Status.CONVERGED)
 
+            inner_status = Status.CONVERGED
+
             def outer(z1: np.ndarray) -> np.ndarray:
+                nonlocal inner_status
+                cap = prof.rho_cap(z1)
+                live = np.flatnonzero(cap > 0)
+                z_live = z1[live]
+                inner = integrate_finite(
+                    lambda owner, rho: prof.abs_value(z_live[owner], rho) ** p * rho ** (d - 2),
+                    [0.0] * live.size,
+                    cap[live],
+                    q,
+                )
                 out = np.zeros_like(z1)
-                for i, z in enumerate(z1):
-                    cap = float(prof.rho_cap(np.asarray([z]))[0])
-                    if cap <= 0:
-                        continue
-                    inner = integrate_finite(
-                        lambda rho, z=z: prof.abs_value(np.full_like(rho, z), rho) ** p
-                        * rho ** (d - 2),
-                        0.0,
-                        cap,
-                        q,
-                    )
-                    out[i] = inner.value
+                for i, est in zip(live, inner):
+                    inner_status = worst_status(inner_status, est.status)
+                    out[i] = est.value
                 return out
 
             est = integrate_finite(outer, lo, hi, q, breakpoints=prof.breakpoints_z1)
+            est = Estimate(est.value, est.error_bound, worst_status(est.status, inner_status))
             return est.scaled(area)
 
         if math.isfinite(prof.z1_hi):

@@ -2,19 +2,41 @@
 
 Every integral in this package goes through one of three entry points:
 
-    integrate_finite(f, a, b, ...)      adaptive G7/K15 on a finite interval
+    integrate_finite(f, a, b, ...)      adaptive G7/K15 on a finite interval,
+                                        or on many intervals in lockstep
     integrate_half_line(f, ...)         integral over (0, inf) with a peak-
                                         centered logarithmic (or algebraic)
                                         change of variables
     integrate_2d(f2, xspan, yspan, ...) adaptive tensor G7/K15 rectangles
 
-All three are one call into a single globally adaptive engine, ``_adapt``
-(the subregion heap of Berntsen, Espelid & Genz, ACM TOMS 17, 1991, with
-the QUADPACK dqk15 rule).  A box is a tuple (lo0, hi0) in 1D or
-(lo0, hi0, lo1, hi1) in 2D; a box rule evaluates a batch of boxes in one
-integrand call and answers value, error, split axis and |f| mass for each.
-The 1D rule always splits axis 0; the 2D rule splits the axis whose
-one-direction Gauss degradation differs more from the full rule.
+All of them run a single globally adaptive engine (the subregion heap of
+Berntsen, Espelid & Genz, ACM TOMS 17, 1991, with the QUADPACK dqk15 rule).
+A box is a tuple (lo0, hi0) in 1D or (lo0, hi0, lo1, hi1) in 2D; a box rule
+evaluates a batch of boxes in one integrand call and answers value, error,
+split axis and |f| mass for each.  The 1D rule always splits axis 0; the 2D
+rule splits the axis whose one-direction Gauss degradation differs more
+from the full rule.
+
+The engine is one generator per integral, ``_refine``: it yields the boxes
+it wants evaluated, is sent back their (box, value, error, axis) rows, and
+returns its Estimate.  A driver, ``_drive``, advances any number of them
+together and makes one integrand call per round for all of their requests.
+One integral is the case n = 1, with exactly the calls it would make alone.
+
+Lockstep integrals.  ``integrate_finite(f, a, b, spec, breakpoints)`` with
+sequences a and b integrates f over each [a[i], b[i]] and returns a list of
+Estimates; f is called as f(owner, x), where owner holds, for each node of
+x, the index i of its integral.  Each integral keeps its own heap,
+breakpoints, stop rule and budget, so each Estimate is bit-identical to the
+one the integral gets alone; nested reductions use this to evaluate the
+inner integrals of all outer nodes with a few integrand calls.  Packing
+rule: an integrand call takes whole per-integral batches in arrival order,
+up to 32 boxes (480 1D nodes); a batch is never split, so only an
+integral's own first batch can be larger.  A new integral starts only while
+nothing waits and the call has room, so only a few heaps are alive at once.
+The cap keeps the integrand's temporaries small: packing every outer node at
+once, or more than about 44 boxes per call, raised peak memory, because
+arrays of (nodes x 24) floats then pass malloc's 128 KiB mmap threshold.
 
 Stop rule.  While the summed error exceeds tol = max(abs_tol,
 rel_tol * |value|) and fewer than ``max_subdivisions`` splits are spent,
@@ -41,9 +63,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
@@ -57,6 +80,7 @@ __all__ = [
     "integrate_half_line",
     "integrate_2d",
     "QuadratureError",
+    "worst_status",
 ]
 
 
@@ -75,6 +99,11 @@ _STATUS_RANK = {
     Status.MAX_SUBDIVISIONS_REACHED: 1,
     Status.DIVERGED: 2,
 }
+
+
+def worst_status(*statuses: Status) -> Status:
+    """The worst of the given statuses (converged < max_subdivisions_reached < diverged)."""
+    return max(statuses, key=_STATUS_RANK.get)
 
 
 @dataclass(frozen=True)
@@ -135,7 +164,7 @@ class Estimate:
         return Estimate(self.value * factor, abs(factor) * self.error_bound, self.status)
 
     def __add__(self, other: "Estimate") -> "Estimate":
-        status = max(self.status, other.status, key=_STATUS_RANK.get)
+        status = worst_status(self.status, other.status)
         if math.isinf(self.value) or math.isinf(other.value):
             return Estimate(math.inf, math.inf, Status.DIVERGED)
         return Estimate(
@@ -204,17 +233,19 @@ _WG = np.array(
 _EPS = np.finfo(float).eps
 
 
-def _panel_eval(f: Callable, panels: np.ndarray):
+def _panel_eval(f: Callable, panels: np.ndarray, owner: np.ndarray):
     """The 1D box rule: K15 and G7 on a batch of panels (rows lo, hi).
 
-    Returns (value, error, split_axis, resabs) arrays, one entry per panel;
-    the value is the K15 sum, the error |K15 - G7|, the split axis 0.
+    ``f(owner, x)`` is called once, with each node's owner taken from its
+    panel's.  Returns (value, error, split_axis, resabs) arrays, one entry
+    per panel; the value is the K15 sum, the error |K15 - G7|, the split
+    axis 0.
     """
     c = 0.5 * (panels[:, 0] + panels[:, 1])
     h = 0.5 * (panels[:, 1] - panels[:, 0])
     # nodes laid out panel-major: shape (npanels, 15)
     x = c[:, None] + h[:, None] * _XK[None, :]
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    y = np.asarray(f(owner.repeat(15), x.ravel()), dtype=float).reshape(x.shape)
     if not np.all(np.isfinite(y)):
         raise QuadratureError("integrand returned a non-finite value")
     valk = h * (y * _WK[None, :]).sum(axis=1)
@@ -223,26 +254,21 @@ def _panel_eval(f: Callable, panels: np.ndarray):
     return valk, np.abs(valk - valg), np.zeros(valk.size, dtype=int), resabs
 
 
-def _adapt(rule: Callable, f: Callable, boxes: list[tuple], spec: QuadratureSpec) -> Estimate:
-    """Globally adaptive refinement of the summed integral of f over boxes.
+def _refine(boxes: list[tuple], spec: QuadratureSpec) -> Generator[list, list, Estimate]:
+    """Globally adaptive refinement of one integral, summed over boxes.
 
-    ``rule(f, boxes)`` answers (value, error, split_axis, resabs) for an
-    array of boxes, one row each.  The boxes sit in a heap keyed by error;
-    each step bisects a batch of the worst along their split axes in one
-    call of the rule, under the stop rule of the module docstring.
+    A generator: it yields the boxes it wants evaluated and is sent back one
+    (box, value, error, split_axis) row per box, in order; it returns the
+    Estimate.  The boxes sit in a heap keyed by error; each step bisects a
+    batch of the worst along their split axes, under the stop rule of the
+    module docstring.
     """
     heap: list = []
     serial = 0
     total = 0.0
     total_err = 0.0
 
-    def evaluate(batch: list) -> list:
-        arr = np.array(batch, dtype=float)
-        value, error, axis, resabs = rule(f, arr)
-        error = np.maximum(error, 50.0 * _EPS * resabs)
-        return list(zip(map(tuple, arr.tolist()), value, error, axis.tolist()))
-
-    for box, value, err, axis in evaluate(boxes):
+    for box, value, err, axis in (yield boxes):
         total += value
         total_err += err
         heapq.heappush(heap, (-err, serial, box, value, axis))
@@ -278,7 +304,7 @@ def _adapt(rule: Callable, f: Callable, boxes: list[tuple], spec: QuadratureSpec
             k = 2 * axis
             mid = 0.5 * (box[k] + box[k + 1])
             halves += [box[: k + 1] + (mid,) + box[k + 2 :], box[:k] + (mid,) + box[k + 1 :]]
-        children = evaluate(halves)
+        children = yield halves
         for (_, value, err, _), left, right in zip(batch, children[::2], children[1::2]):
             total += left[1] + right[1] - value
             total_err += left[2] + right[2] - err
@@ -290,6 +316,59 @@ def _adapt(rule: Callable, f: Callable, boxes: list[tuple], spec: QuadratureSpec
     tol = max(spec.abs_tol, spec.rel_tol * abs(total))
     status = Status.CONVERGED if total_err <= tol else Status.MAX_SUBDIVISIONS_REACHED
     return Estimate(total, total_err, status)
+
+
+# the packing rule's cap on boxes per integrand call (module docstring)
+_CALL_BOXES = 32
+
+
+def _drive(
+    rule: Callable, f: Callable, jobs: dict[int, list[tuple]], spec: QuadratureSpec
+) -> dict[int, Estimate]:
+    """Run one ``_refine`` per job, all advancing together.
+
+    jobs maps an owner index to its initial boxes; the result maps it to
+    its Estimate.  Each round makes one call ``rule(f, boxes, owner)``.  It
+    takes the waiting batches whole, in arrival order, while they fit in
+    ``_CALL_BOXES`` (the first always fits), and starts a new integral only
+    while nothing waits and the call has room, so few heaps are alive at
+    once.  A single job makes the calls it would make alone.
+    """
+    results: dict[int, Estimate] = {}
+    fresh = iter(jobs.items())
+    waiting: deque = deque()  # (owner, refiner, requested boxes)
+    while True:
+        call: list = []
+        size = 0
+        while waiting and (not call or size + len(waiting[0][2]) <= _CALL_BOXES):
+            call.append(waiting.popleft())
+            size += len(call[-1][2])
+        while not waiting and size < _CALL_BOXES:
+            job = next(fresh, None)
+            if job is None:
+                break
+            refiner = _refine(job[1], spec)
+            item = (job[0], refiner, next(refiner))
+            if call and size + len(item[2]) > _CALL_BOXES:
+                waiting.append(item)
+            else:
+                call.append(item)
+                size += len(item[2])
+        if not call:
+            return results
+        boxes = [box for _, _, requested in call for box in requested]
+        owner = np.array([o for o, _, requested in call for _ in requested])
+        value, error, axis, resabs = rule(f, np.array(boxes, dtype=float), owner)
+        error = np.maximum(error, 50.0 * _EPS * resabs)
+        rows = list(zip(boxes, value, error, axis.tolist()))
+        start = 0
+        for o, refiner, requested in call:
+            stop = start + len(requested)
+            try:
+                waiting.append((o, refiner, refiner.send(rows[start:stop])))
+            except StopIteration as done:
+                results[o] = done.value
+            start = stop
 
 
 def _initial_panels(a: float, b: float, breakpoints: Iterable[float]) -> list[tuple[float, float]]:
@@ -309,21 +388,41 @@ def _initial_panels(a: float, b: float, breakpoints: Iterable[float]) -> list[tu
 
 def integrate_finite(
     f: Callable,
-    a: float,
-    b: float,
+    a: float | Sequence[float],
+    b: float | Sequence[float],
     spec: QuadratureSpec = DEFAULT_SPEC_1D,
-    breakpoints: Sequence[float] = (),
-) -> Estimate:
+    breakpoints: Sequence = (),
+) -> Estimate | list[Estimate]:
     """Adaptive Gauss-Kronrod integral of f over [a, b].
 
     breakpoints seed the initial subdivision; pass interior peak locations
     or kink positions so narrow features cannot slip between panels.
+
+    Many integrals in lockstep: with a and b equal-length sequences the
+    result is a list, one Estimate per interval [a[i], b[i]], each seeded by
+    breakpoints[i] when breakpoints is given.  f is then called as
+    f(owner, x), where owner is an integer array shaped like x holding the
+    index i of each node's integral.  Each integral keeps its own heap, stop
+    rule and budget, so its Estimate equals the one it gets alone,
+    ``integrate_finite(lambda x: f(i, x), a[i], b[i], spec, breakpoints[i])``;
+    only the integrand calls are shared.
     """
-    if not (b > a):
-        if b == a:
-            return Estimate(0.0, 0.0, Status.CONVERGED)
-        raise QuadratureError(f"bad interval [{a}, {b}]")
-    return _adapt(_panel_eval, f, _initial_panels(a, b, breakpoints), spec)
+    if np.ndim(a) == 0:
+        return _integrate_many(lambda owner, x: f(x), [a], [b], spec, [breakpoints])[0]
+    return _integrate_many(f, a, b, spec, breakpoints if len(breakpoints) else [()] * len(a))
+
+
+def _integrate_many(f, a, b, spec, breakpoints) -> list[Estimate]:
+    """The lockstep form of integrate_finite; an empty interval gives zero."""
+    jobs = {}
+    for i, (lo, hi, breaks) in enumerate(zip(a, b, breakpoints, strict=True)):
+        if not (hi > lo):
+            if hi == lo:
+                continue
+            raise QuadratureError(f"bad interval [{lo}, {hi}]")
+        jobs[i] = _initial_panels(lo, hi, breaks)
+    found = _drive(_panel_eval, f, jobs, spec)
+    return [found.get(i, Estimate(0.0, 0.0, Status.CONVERGED)) for i in range(len(a))]
 
 
 def _log_map_window(
@@ -418,7 +517,7 @@ def integrate_half_line(
     # thin the scan knots so the initial panel count stays modest
     if len(knots) > 30:
         knots = knots[:: max(1, len(knots) // 30)]
-    return _adapt(_panel_eval, g, _initial_panels(v_lo, v_hi, knots), spec)
+    return _integrate_many(lambda owner, v: g(v), [v_lo], [v_hi], spec, [knots])[0]
 
 
 # --------------------------------------------------------------------------
@@ -426,10 +525,11 @@ def integrate_half_line(
 # --------------------------------------------------------------------------
 
 
-def _rect_eval(f2, rects: np.ndarray):
+def _rect_eval(f2, rects: np.ndarray, owner: np.ndarray):
     """The 2D box rule: K15xK15 / G7xG7 on a batch of rectangles.
 
-    rects has shape (n, 4) columns (xlo, xhi, ylo, yhi).  Returns
+    rects has shape (n, 4) columns (xlo, xhi, ylo, yhi); ``f2(owner, x, y)``
+    is called once, owners taken from the rectangles'.  Returns
     (value, error, split_axis, resabs) per rectangle.  The split axis is the
     one whose one-direction degradation (the full rule against the rule
     degraded to Gauss in that direction only) differs more.
@@ -443,7 +543,7 @@ def _rect_eval(f2, rects: np.ndarray):
     Y = cy[:, None, None] + hy[:, None, None] * _XK[None, None, :]
     Xf = np.broadcast_to(X, (n, 15, 15)).ravel()
     Yf = np.broadcast_to(Y, (n, 15, 15)).ravel()
-    vals = np.asarray(f2(Xf, Yf), dtype=float).reshape(n, 15, 15)
+    vals = np.asarray(f2(owner.repeat(225), Xf, Yf), dtype=float).reshape(n, 15, 15)
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("2D integrand returned a non-finite value")
     area = hx * hy
@@ -474,4 +574,4 @@ def integrate_2d(
     xs = sorted({xspan[0], xspan[1], *(p for p in xbreaks if xspan[0] < p < xspan[1])})
     ys = sorted({yspan[0], yspan[1], *(p for p in ybreaks if yspan[0] < p < yspan[1])})
     rects = [(x0, x1, y0, y1) for x0, x1 in zip(xs[:-1], xs[1:]) for y0, y1 in zip(ys[:-1], ys[1:])]
-    return _adapt(_rect_eval, f2, rects, spec)
+    return _drive(_rect_eval, lambda owner, x, y: f2(x, y), {0: rects}, spec)[0]

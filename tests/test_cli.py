@@ -81,6 +81,15 @@ def test_transform_k_and_jt_honour_quadrature_flags(which):
     assert code == 1 and out == "" and "max_subdivisions_reached" in err
 
 
+def test_transform_jt_d4_honours_quadrature_flags():
+    # the drift-time integral of j_transform at d >= 4 takes the given spec
+    probe = ("transform", "jt", "--potential", BALL, "--d", "4", "--x", "3,0,0,0", "--y", "0,5,0,0")
+    code, default, _ = run_cli(*probe)
+    assert code == 0 and json.loads(default)["status"] == "converged"
+    code, starved, _ = run_cli(*probe, "--max-subdivisions", "1")
+    assert code == 0 and json.loads(starved)["value"] != json.loads(default)["value"]
+
+
 def test_norm_commands():
     code, out, _ = run_cli(
         "norm", "newton", "--potential", BALL, "--grid-density", "3", "--multistarts", "1"

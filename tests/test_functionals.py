@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate as spi
+
+from bridgepot import functionals, potentials
 
 from bridgepot.errors import GeometryError
 from bridgepot.functionals import (
@@ -32,6 +35,7 @@ from bridgepot.potentials import (
     CounterexampleA,
     RadialPower,
     dilate,
+    lp_halfd_norm,
 )
 from bridgepot.quadrature import QuadratureSpec, Status
 
@@ -150,6 +154,42 @@ def test_k_alpha_kink_past_pi_is_seeded():
     )
     assert est.converged
     assert est.value == pytest.approx(2.0 * half, rel=1e-6)
+
+
+def _starve_inner(monkeypatch, module) -> dict:
+    """Give the lockstep (inner) integrals of ``module`` a one-split budget
+    at rel_tol 1e-15, and record the statuses of inner and outer integrals."""
+    real = module.integrate_finite
+    seen = {"inner": [], "outer": []}
+
+    def starved(f, a, b, spec, breakpoints=()):
+        if np.ndim(a) == 0:
+            est = real(f, a, b, spec, breakpoints)
+            seen["outer"].append(est.status)
+            return est
+        ests = real(f, a, b, dataclasses.replace(spec, rel_tol=1e-15, max_subdivisions=1), breakpoints)
+        seen["inner"] += [e.status for e in ests]
+        return ests
+
+    monkeypatch.setattr(module, "integrate_finite", starved)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "module, transform",
+    [
+        (functionals, lambda: k_transform(BALL, [0.5, 0.2, 0.0], [0.0, 1.0, 0.0], 3)),
+        (potentials, lambda: lp_halfd_norm(CounterexampleA(z1_max=1e3), 4)),
+    ],
+    ids=["k_transform", "lp_halfd_norm_axial"],
+)
+def test_worst_inner_status_reaches_the_result(monkeypatch, module, transform):
+    assert transform().converged
+    seen = _starve_inner(monkeypatch, module)
+    est = transform()
+    assert Status.MAX_SUBDIVISIONS_REACHED in seen["inner"]
+    assert seen["outer"] == [Status.CONVERGED]
+    assert est.status is Status.MAX_SUBDIVISIONS_REACHED
 
 
 def test_k_d3_domination():

@@ -226,3 +226,75 @@ def test_many_small_panel_errors_do_not_stop_refinement():
     ref, _ = spi.quad(f, 0.0, 10.0, points=np.arange(1, 23) * math.pi / 7.0,
                       epsabs=0.0, epsrel=1e-13, limit=500)
     assert est.value == pytest.approx(ref, rel=1e-11)
+
+
+# --------------------------------------------------------------------------
+# Many integrals in lockstep: integrate_finite over sequences of intervals
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def families(draw):
+    """Integrals of cos(freq_i x) + w_i sqrt|x - kink_i| over [a_i, b_i].
+
+    Some intervals are empty, some kinks are seeded as breakpoints and some
+    not, and the budget is small enough that some integrals converge and
+    some run out of it.
+    """
+    n = draw(st.integers(1, 40))
+    a, b, freq, weight, kink, breaks = [], [], [], [], [], []
+    for _ in range(n):
+        lo = draw(st.floats(-3.0, 3.0))
+        hi = lo + draw(st.just(0.0) | st.floats(0.1, 6.0))
+        k = draw(st.floats(lo, hi))
+        a.append(lo)
+        b.append(hi)
+        freq.append(draw(st.floats(0.0, 5.0)))
+        weight.append(draw(st.sampled_from([0.0, 1.0])))
+        kink.append(k)
+        extra = draw(st.lists(st.floats(lo, hi), max_size=3))
+        breaks.append(([k] if draw(st.booleans()) else []) + extra)
+    spec = QuadratureSpec(rel_tol=draw(st.floats(1e-12, 1e-6)), max_subdivisions=draw(st.integers(1, 30)))
+    freq, weight, kink = np.array(freq), np.array(weight), np.array(kink)
+
+    def f(owner, x):
+        return np.cos(freq[owner] * x) + weight[owner] * np.sqrt(np.abs(x - kink[owner]))
+
+    return f, a, b, breaks, spec
+
+
+@PROPERTY
+@given(families())
+def test_lockstep_equals_each_integral_alone(case):
+    f, a, b, breaks, spec = case
+    together = integrate_finite(f, a, b, spec, breaks)
+    alone = [
+        integrate_finite(lambda x, i=i: f(np.full(x.shape, i), x), a[i], b[i], spec, breaks[i])
+        for i in range(len(a))
+    ]
+    assert together == alone
+
+
+def test_lockstep_calls_take_at_most_480_nodes_unless_one_integral():
+    n = 60
+    kink = np.linspace(0.05, 0.95, n)
+    weight = np.arange(n) % 2
+    calls = []
+
+    def f(owner, x):
+        calls.append((x.size, set(owner.tolist())))
+        return np.cos(3.0 * x) + weight[owner] * np.sqrt(np.abs(x - kink[owner]))
+
+    breaks = [()] * n
+    breaks[7] = np.linspace(0.0, 1.0, 202)[1:-1]  # ~600 initial panels in one batch
+    spec = QuadratureSpec(rel_tol=1e-10, max_subdivisions=10)
+    ests = integrate_finite(f, [0.0] * n, [1.0] * n, spec, breaks)
+    assert all(size <= 480 or len(owners) == 1 for size, owners in calls)
+    assert any(size > 480 for size, _ in calls)
+    assert any(len(owners) > 1 for _, owners in calls)
+    assert {e.status for e in ests} == {Status.CONVERGED, Status.MAX_SUBDIVISIONS_REACHED}
+
+
+def test_lockstep_rejects_a_reversed_interval():
+    with pytest.raises(QuadratureError):
+        integrate_finite(lambda owner, x: x, [0.0, 1.0], [1.0, 0.0])
