@@ -330,6 +330,21 @@ def _parse_cfg_value(text: str):
         return text
 
 
+def _emit_report(report, args) -> int:
+    """Print a suite report as JSON or as one CSV row per finding; the exit
+    code says whether every finding passed."""
+    if args.format == "csv":
+        lines = ["name,value,bound,passed"]
+        for f in report.findings:
+            bound = str(f.bound).replace(",", ";")
+            lines.append(f"{f.name},{_floatify(f.value)},{bound},{f.passed}")
+        sys.stdout.write("\n".join(lines) + "\n")
+    else:
+        rec = report.to_dict(include_runtime=args.timings)
+        sys.stdout.write(json.dumps(_floatify(rec)) + "\n")
+    return 0 if report.passed else 1
+
+
 def _cmd_verify(args) -> int:
     cfg = {}
     for item in args.cfg:
@@ -338,34 +353,14 @@ def _cmd_verify(args) -> int:
         key, _, val = item.partition("=")
         cfg[key.strip()] = _parse_cfg_value(val.strip())
     cfg.setdefault("seed", args.seed)
-    report = run_suite(args.suite, cfg)
-    rec = report.to_dict(include_runtime=args.timings)
-    if args.format == "csv":
-        lines = ["name,value,bound,passed"]
-        for f in report.findings:
-            bound = str(f.bound).replace(",", ";")
-            lines.append(f"{f.name},{_floatify(f.value)},{bound},{f.passed}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write(json.dumps(_floatify(rec)) + "\n")
-    return 0 if report.passed else 1
+    return _emit_report(run_suite(args.suite, cfg), args)
 
 
 def _cmd_counterexample(args) -> int:
     cfg = {"seed": args.seed, "compact_terms": args.compact_terms}
     if args.radii:
         cfg["radii"] = [float(r) for r in args.radii.split(",")]
-    report = run_suite("counterexample", cfg)
-    rec = report.to_dict(include_runtime=args.timings)
-    if args.format == "csv":
-        lines = ["name,value,bound,passed"]
-        for f in report.findings:
-            bound = str(f.bound).replace(",", ";")
-            lines.append(f"{f.name},{_floatify(f.value)},{bound},{f.passed}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write(json.dumps(_floatify(rec)) + "\n")
-    return 0 if report.passed else 1
+    return _emit_report(run_suite("counterexample", cfg), args)
 
 
 def main(argv=None) -> int:

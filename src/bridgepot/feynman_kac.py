@@ -9,15 +9,24 @@ of |V| gives an independent stochastic oracle for the quadrature-based
 bridge potential.
 
 Randomness is counter-based: each path draws its normals from a Philox
-generator keyed by (seed, path index), so results are bit-identical for a
-fixed configuration no matter how paths are batched, and path generation
-is embarrassingly parallel.  Sample moments are taken over the per-path
-functionals in index order.
+stream keyed by (seed, path index), so results are bit-identical for a
+fixed configuration no matter how paths are batched.  One pass serves every
+functional (``_path_time_integrals``): paths go in chunks of ``_CHUNK``;
+one Philox generator per call is re-keyed to each path's stream start (the
+state of a fresh ``Philox(key=...)``) and draws that path's normals in one
+call; the recurrence then runs ``_BLOCK`` grid steps at a time on a
+time-major copy of the chunk's normals, and each requested (V, absolute)
+row evaluates its potential once per block.  ``g_ratio_mc`` and ``s_mc``
+are its one-row case; several rows (as in the ``gen_neg`` suite) share one
+draw of the paths, and each row equals its single-row call bit for bit.
+``sample_bridge`` is the one-path case of the same recurrence.  Sample
+moments are taken over the per-path functionals in index order.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +38,8 @@ from .potentials import Potential, evaluate_many
 
 __all__ = ["McConfig", "McEstimate", "sample_bridge", "g_ratio_mc", "s_mc"]
 
-_CHUNK = 2048
+_CHUNK = 512  # paths per chunk
+_BLOCK = 32  # grid steps per potential evaluation
 _EXP_GUARD = 700.0
 
 
@@ -53,9 +63,48 @@ class McEstimate:
     paths: int
 
 
-def _path_generator(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _stream_state(seed: int, index: int) -> dict:
+    """The Philox state that starts path ``index``'s stream.
+
+    It is the state of a fresh ``np.random.Philox(key=...)`` with key
+    (seed mod 2**64, index): counter 0 and an empty output buffer.
+    """
+    return {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _advance(cur: np.ndarray, block: np.ndarray, first: int, spec: BridgeSpec, steps: int) -> None:
+    """Run the bridge recurrence over a time-major block of normals, in place.
+
+    ``cur`` (B, d) holds the paths at grid step ``first - 1``; ``block``
+    (n, B, d) holds the normals of steps ``first .. first + n - 1`` and is
+    overwritten by the path positions at those steps.
+    """
+    t = spec.t
+    dt = t / steps
+    y = np.asarray(spec.y, dtype=float)
+    i = np.arange(first, first + block.shape[0])
+    remaining = t - (i - 1) * dt
+    var = 2.0 * dt * (t - i * dt) / remaining
+    block *= np.sqrt(var)[:, None, None]
+    mean = np.empty_like(cur)
+    for k in range(block.shape[0]):
+        # cur = mean + sqrt(var) noise with mean = cur + (dt/remaining)(y - cur),
+        # in place: floating + and * commute exactly, so the bits are the same
+        np.subtract(y, cur, out=mean)
+        mean *= dt / remaining[k]
+        mean += cur
+        cur = block[k]
+        cur += mean
 
 
 def sample_bridge(spec: BridgeSpec, steps: int, rng: np.random.Generator) -> np.ndarray:
@@ -63,25 +112,18 @@ def sample_bridge(spec: BridgeSpec, steps: int, rng: np.random.Generator) -> np.
 
     path[0] = x and path[steps] = y exactly; the marginal at time s is
     N(x + (s/t)(y - x), 2 s (t - s)/t I), matching the closed-form bridge
-    parameters.
+    parameters.  The path is the one-path case of the Monte Carlo pass: its
+    normals are one ``rng.standard_normal((steps - 1, d))`` draw.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     d = as_dimension(spec.d)
-    t = spec.t
-    dt = t / steps
-    x = np.asarray(spec.x, dtype=float)
-    y = np.asarray(spec.y, dtype=float)
     path = np.empty((steps + 1, d))
-    path[0] = x
-    cur = x.copy()
-    for i in range(1, steps):
-        remaining = t - (i - 1) * dt
-        mean = cur + (dt / remaining) * (y - cur)
-        var = 2.0 * dt * (t - i * dt) / remaining
-        cur = mean + math.sqrt(var) * rng.standard_normal(d)
-        path[i] = cur
-    path[steps] = y
+    path[0] = spec.x
+    path[steps] = spec.y
+    inner = path[1:steps]
+    rng.standard_normal(out=inner)
+    _advance(path[:1], inner[:, None, :], 1, spec, steps)
     return path
 
 
@@ -94,40 +136,55 @@ def _check_positive_part(V: Potential) -> None:
 
 
 def _path_time_integrals(
-    V: Potential, spec: BridgeSpec, mc: McConfig, absolute: bool
+    rows: Sequence[tuple[Potential, bool]], spec: BridgeSpec, mc: McConfig
 ) -> np.ndarray:
-    """Trapezoidal int_0^t V(path_s) ds (or |V|) for every path, in path order."""
+    """Trapezoidal int_0^t V(path_s) ds, or of |V| where ``absolute``, for
+    every ``(V, absolute)`` row and every path, all rows on the same paths:
+    shape (len(rows), paths).
+    """
     d = as_dimension(spec.d)
-    hint = V.dimension_hint()
-    if hint is not None and hint != d:
-        raise BridgepotError(f"potential pins dimension {hint}, bridge has {d}")
-    t = spec.t
+    for V, _ in rows:
+        hint = V.dimension_hint()
+        if hint is not None and hint != d:
+            raise BridgepotError(f"potential pins dimension {hint}, bridge has {d}")
     steps = mc.steps
-    dt = t / steps
+    dt = spec.t / steps
     x = np.asarray(spec.x, dtype=float)
-    y = np.asarray(spec.y, dtype=float)
+    ends = np.array([spec.x, spec.y], dtype=float)
 
-    def values(points: np.ndarray) -> np.ndarray:
+    def values(V: Potential, absolute: bool, points: np.ndarray) -> np.ndarray:
         v = evaluate_many(V, points)
         return np.abs(v) if absolute else v
 
-    v_end = 0.5 * dt * (values(x[None, :])[0] + values(y[None, :])[0])
-    out = np.empty(mc.paths)
+    v_ends = np.array([values(V, absolute, ends) for V, absolute in rows])
+    v_end = 0.5 * dt * (v_ends[:, 0] + v_ends[:, 1])
+    # one generator per call, re-keyed per path (its seed is overwritten)
+    gen = np.random.Generator(np.random.Philox(0))
+    state = _stream_state(mc.seed, 0)
+    key = state["state"]["key"]
+    out = np.empty((len(rows), mc.paths))
     for start in range(0, mc.paths, _CHUNK):
         stop = min(start + _CHUNK, mc.paths)
         B = stop - start
         noise = np.empty((B, steps - 1, d))
         for j in range(B):
-            noise[j] = _path_generator(mc.seed, start + j).standard_normal((steps - 1, d))
-        cur = np.broadcast_to(x, (B, d)).copy()
-        acc = np.zeros(B)
-        for i in range(1, steps):
-            remaining = t - (i - 1) * dt
-            mean = cur + (dt / remaining) * (y - cur)
-            var = 2.0 * dt * (t - i * dt) / remaining
-            cur = mean + math.sqrt(var) * noise[:, i - 1, :]
-            acc += dt * values(cur)
-        out[start:stop] = acc + v_end
+            key[1] = start + j  # the path index; the state setter copies the key
+            gen.bit_generator.state = state
+            gen.standard_normal(out=noise[j])
+        cur = np.broadcast_to(x, (B, d))
+        acc = np.zeros((len(rows), B))
+        for first in range(1, steps, _BLOCK):
+            n = min(_BLOCK, steps - first)
+            block = np.empty((n, B, d))
+            for c in range(d):  # a time-major copy, one coordinate at a time (faster)
+                block[:, :, c] = noise[:, first - 1 : first - 1 + n, c].T
+            _advance(cur, block, first, spec, steps)
+            cur = block[-1]
+            for r, (V, absolute) in enumerate(rows):
+                terms = dt * values(V, absolute, block.reshape(-1, d)).reshape(n, B)
+                for k in range(n):  # in grid order, as one step at a time would
+                    acc[r] += terms[k]
+        out[:, start:stop] = acc + v_end[:, None]
     return out
 
 
@@ -142,6 +199,27 @@ def _moments(samples: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(max(var, 0.0) / samples.size)
 
 
+def _estimates(
+    rows: Sequence[tuple[Potential, bool]], spec: BridgeSpec, mc: McConfig
+) -> list[McEstimate]:
+    """``s_mc`` of each ``(V, True)`` row and ``g_ratio_mc`` of each
+    ``(V, False)`` row, all from one draw of the paths; each equals the
+    single call's result."""
+    for V, _ in rows:
+        _check_positive_part(V)
+    results = []
+    for (_, absolute), integrals in zip(rows, _path_time_integrals(rows, spec, mc)):
+        if not absolute:
+            peak = float(np.max(integrals))
+            if peak > _EXP_GUARD:
+                raise ComputationError(
+                    f"occupation integral reached {peak:.3g}; exp would overflow"
+                )
+            integrals = np.exp(integrals)
+        results.append(McEstimate(*_moments(integrals), mc.paths))
+    return results
+
+
 def g_ratio_mc(V: Potential, spec: BridgeSpec, mc: McConfig) -> McEstimate:
     """Bridge estimate of (perturbed kernel) / (Gaussian kernel) at (t, x, y).
 
@@ -150,20 +228,10 @@ def g_ratio_mc(V: Potential, spec: BridgeSpec, mc: McConfig) -> McEstimate:
     rejected, and an occupation integral beyond the exp overflow guard
     raises instead of returning infinities.
     """
-    _check_positive_part(V)
-    integrals = _path_time_integrals(V, spec, mc, absolute=False)
-    peak = float(np.max(integrals))
-    if peak > _EXP_GUARD:
-        raise ComputationError(
-            f"occupation integral reached {peak:.3g}; exp would overflow"
-        )
-    mean, se = _moments(np.exp(integrals))
-    return McEstimate(mean, se, mc.paths)
+    return _estimates([(V, False)], spec, mc)[0]
 
 
 def s_mc(V: Potential, spec: BridgeSpec, mc: McConfig) -> McEstimate:
     """Bridge occupation estimate of the |V| time integral (the quadrature
     bridge potential's stochastic oracle)."""
-    _check_positive_part(V)
-    mean, se = _moments(_path_time_integrals(V, spec, mc, absolute=True))
-    return McEstimate(mean, se, mc.paths)
+    return _estimates([(V, True)], spec, mc)[0]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BridgepotError
-from .feynman_kac import McConfig, g_ratio_mc
+from .feynman_kac import McConfig, _estimates
 from .functionals import (
     BridgeSpec,
     SearchStrategy,
@@ -559,22 +559,22 @@ def _suite_gen_neg(cfg: dict) -> tuple[list[Finding], bool, dict]:
     findings: list[Finding] = []
 
     V_neg = BallIndicator(None, 1.0, -1.0)
+    V_pos = BallIndicator(None, 1.0, pos_amp)
     s_quad = s_functional(V_neg, spec)
-    ratio = g_ratio_mc(V_neg, spec, mc)
+    # both ratios read one draw of the paths
+    ratio, ratio_pos = _estimates([(V_neg, False), (V_pos, False)], spec, mc)
     lower = math.exp(-s_quad.value)
     lo_ok = ratio.mean >= lower - 3.0 * ratio.std_error
     hi_ok = ratio.mean <= 1.0 + 3.0 * ratio.std_error
     findings.append(Finding("gen_neg.ratio_negative_V", ratio.mean, f">= exp(-S) = {lower:.6f}", lo_ok))
     findings.append(Finding("gen_neg.ratio_upper_1", ratio.mean, "<= 1", hi_ok))
 
-    V_pos = BallIndicator(None, 1.0, pos_amp)
     eta_rep = s_norm(
         V_pos, d, strategy=SearchStrategy(grid_density=4, multistarts=2, nm_max_iter=40)
     )
     eta = eta_rep.estimate.value
     eta_ok = eta < 1.0
     findings.append(Finding("gen_neg.eta", eta, "< 1", eta_ok))
-    ratio_pos = g_ratio_mc(V_pos, spec, mc)
     cap = 1.0 / (1.0 - eta) if eta < 1.0 else math.inf
     pos_ok = ratio_pos.mean <= cap + 3.0 * ratio_pos.std_error
     findings.append(

@@ -142,6 +142,23 @@ def test_verify_cfg_override():
     assert code == 0 and rec["inputs"]["samples"] == 5
 
 
+def test_counterexample_csv_output():
+    code, out, _ = run_cli(
+        "counterexample", "--radii", "1e2,1e3,1e4,1e5", "--compact-terms", "0", "--d", "4",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out == (
+        "name,value,bound,passed\n"
+        "counterexample.k_truncation_verdict,1.0,divergent,True\n"
+        "counterexample.k_log_slope,3.613537449860257,> 0,True\n"
+        "counterexample.k_fit_r2,0.9999999935352817,>= 0.99,True\n"
+        "counterexample.newton_tail_max_over_min,1.067877799838191,< 2,True\n"
+        "counterexample.newton_sup_probed,0.4999999528280536,finite,True\n"
+        "counterexample.lp_halfd_norm,inf,= +inf (diverged),True\n"
+    )
+
+
 def test_counterexample_command():
     code, out, _ = run_cli(
         "counterexample", "--radii", "1e2,1e3,1e4,1e5", "--compact-terms", "0", "--d", "4"

@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from bridgepot.errors import BridgepotError
-from bridgepot.feynman_kac import McConfig, g_ratio_mc, s_mc, sample_bridge, _path_generator
+import bridgepot.feynman_kac as fk
+from bridgepot.feynman_kac import McConfig, g_ratio_mc, s_mc, sample_bridge
 from bridgepot.functionals import BridgeSpec, s_functional, s_norm, SearchStrategy
-from bridgepot.potentials import BallIndicator, Constant, RadialPower
+from bridgepot.potentials import BallIndicator, Constant, RadialPower, Sum, evaluate_many
 
 SPEC = BridgeSpec(1.0, (0, 0, 0), (1, 0, 0))
 BALL = BallIndicator(None, 1.0, -1.0)
+SMALL_POS = BallIndicator(None, 0.5, 0.5)
+
+
+def _path_generator(seed: int, index: int) -> np.random.Generator:
+    """The oracle stream of path ``index``: a fresh Philox keyed by (seed, index)."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def test_config_validation():
@@ -111,3 +119,91 @@ def test_gen_neg_bounds_small():
     assert eta.estimate.value < 1.0
     ratio_pos = g_ratio_mc(V_pos, SPEC, mc)
     assert ratio_pos.mean <= 1.0 / (1.0 - eta.estimate.value) + 3.0 * ratio_pos.std_error
+
+
+@pytest.mark.parametrize("seed", [0, -3, 2**63 + 5])
+@pytest.mark.parametrize("index", [0, 2**32 + 1])
+def test_reset_stream_equals_fresh_philox(seed, index):
+    gen = np.random.Generator(np.random.Philox(0))
+    gen.standard_normal(7)  # a used generator: the reset must clear its buffer too
+    gen.bit_generator.state = fk._stream_state(seed, index)
+    want = _path_generator(seed, index).standard_normal(101)
+    assert np.array_equal(gen.standard_normal(101), want)
+
+
+def test_one_draw_equals_per_step_draws():
+    # sample_bridge draws its normals at once; the stream is the per-step one
+    a, b = _path_generator(4, 9), _path_generator(4, 9)
+    per_step = np.array([b.standard_normal(3) for _ in range(15)])
+    assert np.array_equal(a.standard_normal((15, 3)), per_step)
+
+
+def _trapezoid(V, spec, steps, path, absolute):
+    values = evaluate_many(V, path)
+    if absolute:
+        values = np.abs(values)
+    dt = spec.t / steps
+    acc = 0.0
+    for i in range(1, steps):
+        acc += dt * values[i]
+    return acc + 0.5 * dt * (values[0] + values[steps])
+
+
+@pytest.mark.parametrize("seed", [0, -3, 2**63 + 5])
+@pytest.mark.parametrize("steps", [2, 33])
+def test_pass_rows_equal_sample_bridge_trapezoids(seed, steps):
+    # paths straddle a chunk boundary and are not a multiple of the chunk
+    spec = BridgeSpec(0.7, (0.2, -0.1, 0.3), (0.9, 0.4, -0.2))
+    rows = [(BALL, False), (SMALL_POS, True), (Sum((BALL, Constant(0.05))), False)]
+    mc = McConfig(fk._CHUNK + 3, steps, seed)
+    integrals = fk._path_time_integrals(rows, spec, mc)
+    assert integrals.shape == (3, mc.paths)
+    for j in (0, fk._CHUNK - 1, fk._CHUNK, fk._CHUNK + 2):
+        path = sample_bridge(spec, steps, _path_generator(seed, j))
+        for r, (V, absolute) in enumerate(rows):
+            assert integrals[r, j] == _trapezoid(V, spec, steps, path, absolute)
+
+
+def test_shared_pass_equals_separate_calls():
+    spec = BridgeSpec(0.7, (0.2, -0.1, 0.3), (0.9, 0.4, -0.2))
+    mc = McConfig(700, 33, 11)
+    rows = [
+        (BALL, False),
+        (SMALL_POS, True),
+        (BALL, True),
+        (SMALL_POS, False),
+        (Sum((BALL, Constant(0.05))), False),
+    ]
+    shared = fk._estimates(rows, spec, mc)
+    single = [(s_mc if absolute else g_ratio_mc)(V, spec, mc) for V, absolute in rows]
+    assert [repr(e) for e in shared] == [repr(e) for e in single]
+
+
+# results of the per-path Philox construction with one recurrence step at a
+# time, before the chunked pass; the pass must reproduce them bit for bit
+GOLDEN = {
+    (4096, 128): (
+        "McEstimate(mean=0.6230043644143219, std_error=0.0020829564650404466, paths=4096)",
+        "McEstimate(mean=0.4966773986816406, std_error=0.0034157424932751337, paths=4096)",
+        "McEstimate(mean=1.0688029078082402, std_error=0.0007866654738823102, paths=4096)",
+        "McEstimate(mean=0.06547355651855469, std_error=0.0007144895381651492, paths=4096)",
+    ),
+    (5000, 33): (
+        "McEstimate(mean=0.6226193190594705, std_error=0.0019025422685517864, paths=5000)",
+        "McEstimate(mean=0.49788484848484815, std_error=0.003134435860343859, paths=5000)",
+        "McEstimate(mean=1.0700419658920917, std_error=0.0007686427829625692, paths=5000)",
+        "McEstimate(mean=0.06646363636363636, std_error=0.0006952629329093925, paths=5000)",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN))
+def test_golden_results(shape):
+    mc = McConfig(*shape, 7)
+    got = (
+        g_ratio_mc(BALL, SPEC, mc),
+        s_mc(BALL, SPEC, mc),
+        g_ratio_mc(SMALL_POS, SPEC, mc),
+        s_mc(SMALL_POS, SPEC, mc),
+    )
+    assert tuple(repr(e) for e in got) == GOLDEN[shape]
