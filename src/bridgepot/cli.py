@@ -135,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     S = argparse.SUPPRESS
     common.add_argument("--format", choices=("json", "csv"), default=S)
-    common.add_argument("--d", type=int, default=S, help="spatial dimension (>= 3; default 3)")
+    common.add_argument("--d", type=int, default=S,
+                        help="spatial dimension (>= 3; default 3, or the suite's own)")
     common.add_argument("--rel-tol", type=float, default=S)
     common.add_argument("--abs-tol", type=float, default=S)
     common.add_argument("--max-subdivisions", type=int, default=S)
@@ -346,7 +347,7 @@ def _emit_report(report, args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = {}
+    cfg = dict(args.suite_dims)
     for item in args.cfg:
         if "=" not in item:
             raise _UsageError(f"--cfg expects KEY=VALUE, got {item!r}")
@@ -357,7 +358,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    cfg = {"seed": args.seed, "compact_terms": args.compact_terms}
+    cfg = {"seed": args.seed, "compact_terms": args.compact_terms, **args.suite_dims}
     if args.radii:
         cfg["radii"] = [float(r) for r in args.radii.split(",")]
     return _emit_report(run_suite("counterexample", cfg), args)
@@ -370,6 +371,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code) if exc.code is not None else 2
+    # the suites keep their own default dimension unless --d is given
+    args.suite_dims = {"d": args.d} if hasattr(args, "d") else {}
     for key, val in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, val)

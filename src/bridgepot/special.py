@@ -3,11 +3,8 @@
 The gamma function comes from the Python standard library (``math.gamma``)
 and the normal CDF from ``scipy.special.ndtr``, which evaluates it to full
 double precision, also in the lower tail, without a Python call per
-element.  The regularized lower incomplete
-gamma function is implemented here with the classic series / continued
-fraction pair (series for y < a+1, modified Lentz continued fraction
-otherwise), accurate to ~1e-14 relative over the parameter range we use
-(a = k/2 for small integer k).
+element.  The chi-squared laws of the Gaussian ball overlaps come from
+``scipy.special`` directly (see ``functionals._ball_overlap``).
 """
 
 from __future__ import annotations
@@ -18,79 +15,11 @@ import numpy as np
 from scipy.special import ndtr
 
 __all__ = [
-    "gammainc_lower_reg",
-    "chi2_cdf",
     "sphere_area",
     "ball_volume",
     "sin_power_antideriv",
     "norm_cdf",
 ]
-
-_MAX_ITER = 400
-_TINY = 1e-300
-
-
-def _gamma_series(a: float, y: float) -> float:
-    # P(a, y) = y^a e^-y / Gamma(a) * sum_{n>=0} y^n / (a (a+1) ... (a+n))
-    term = 1.0 / a
-    total = term
-    for n in range(1, _MAX_ITER):
-        term *= y / (a + n)
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-y + a * math.log(y) - math.lgamma(a))
-
-
-def _gamma_contfrac(a: float, y: float) -> float:
-    # Q(a, y) via Lentz's method on the standard continued fraction.
-    b = y + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / max(b, _TINY)
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-y + a * math.log(y) - math.lgamma(a))
-
-
-def gammainc_lower_reg(a: float, y: float) -> float:
-    """Regularized lower incomplete gamma P(a, y) = gamma(a, y) / Gamma(a)."""
-    if a <= 0.0:
-        raise ValueError(f"a must be positive, got {a}")
-    if y < 0.0:
-        raise ValueError(f"y must be nonnegative, got {y}")
-    if y == 0.0:
-        return 0.0
-    if y < a + 1.0:
-        return _gamma_series(a, y)
-    return 1.0 - _gamma_contfrac(a, y)
-
-
-def chi2_cdf(k: int, x) -> np.ndarray:
-    """CDF of the chi-squared distribution with k degrees of freedom.
-
-    Vectorized in x.  Used for the cross-sectional mass of an isotropic
-    Gaussian inside a ball (slice decomposition).
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    if np.any(pos):
-        a = 0.5 * k
-        out[pos] = np.array([gammainc_lower_reg(a, 0.5 * xi) for xi in np.atleast_1d(x[pos])])
-    return out
 
 
 def norm_cdf(x) -> np.ndarray:

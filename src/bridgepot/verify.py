@@ -528,9 +528,10 @@ def _suite_counterexample(cfg: dict) -> tuple[list[Finding], bool, dict]:
 
 def _suite_lemma_const(cfg: dict) -> tuple[list[Finding], bool, dict]:
     d = as_dimension(int(cfg.get("d", 4)))
-    b_div = float(cfg.get("beta_divergent", 2.4))
-    b_con = float(cfg.get("beta_convergent", 2.6))
     threshold = (d + 1) / 2.0
+    # the default exponents straddle the threshold (2.4 and 2.6 at d = 4)
+    b_div = float(cfg.get("beta_divergent", threshold - 0.1))
+    b_con = float(cfg.get("beta_convergent", threshold + 0.1))
     div = kappa(d, exponent_override=b_div)
     con = kappa(d, exponent_override=b_con)
     div_ok = math.isinf(div.value)

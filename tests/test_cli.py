@@ -169,6 +169,21 @@ def test_counterexample_command():
     assert "counterexample.k_truncation_verdict" in names
 
 
+def test_suite_commands_honour_d():
+    # --d reaches the suite config; without it each suite keeps its own default,
+    # and an explicit --cfg d=... wins over --d
+    code, out, _ = run_cli("counterexample", "--d", "5", "--compact-terms", "0")
+    rec = json.loads(out)
+    assert code == 0 and rec["passed"] is True and rec["inputs"]["d"] == 5
+    code, out, _ = run_cli("verify", "lemma_const", "--d", "5")
+    rec = json.loads(out)
+    assert code == 0 and rec["passed"] is True
+    assert rec["inputs"] == {"d": 5, "betas": [2.9, 3.1]}
+    assert json.loads(run_cli("verify", "lemma_const")[1])["inputs"]["d"] == 4
+    _, out, _ = run_cli("--d", "5", "verify", "lemma_const", "--cfg", "d=6")
+    assert json.loads(out)["inputs"]["d"] == 6
+
+
 def test_exit_codes():
     # unknown subcommand -> 2 (argparse)
     code, _, _ = run_cli("frobnicate")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate as spi
+from scipy import special as sps
 
 from bridgepot import functionals, potentials
 
@@ -18,9 +19,7 @@ from bridgepot.functionals import (
     j_transform,
     k_norm,
     k_transform,
-    n_first_half,
     n_functional,
-    n_second_half,
     newton_norm,
     newton_potential,
     s_functional,
@@ -37,7 +36,7 @@ from bridgepot.potentials import (
     dilate,
     lp_halfd_norm,
 )
-from bridgepot.quadrature import QuadratureSpec, Status
+from bridgepot.quadrature import DEFAULT_SPEC_1D, QuadratureSpec, Status
 
 RNG = np.random.default_rng(11)
 BALL = BallIndicator(None, 1.0, -1.0)
@@ -256,6 +255,108 @@ def test_j_transform_d4_consistency():
 
 
 # ---------------------------------------------------------------------------
+# Gaussian ball overlaps P(|N(m, sigma^2 I_d)| <= R), |m| = mu
+# ---------------------------------------------------------------------------
+
+
+def _overlap_points(seed, sigma_lo, sigma_hi, n):
+    """Seeded (d, R, mu, sigma) with sigma/R log-uniform in [sigma_lo, sigma_hi]:
+    mu uniform in [0, 3R], then mu = R + k sigma for a few k around the sphere."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for d in (4, 5, 6, 8):
+        R = float(rng.uniform(0.5, 2.0))
+        for i in range(n):
+            sigma = R * 10.0 ** rng.uniform(math.log10(sigma_lo), math.log10(sigma_hi))
+            k = (None, -3.0, -1.0, 0.0, 1.0, 3.0)[i % 6]
+            mu = rng.uniform(0.0, 3.0 * R) if k is None else max(R + k * sigma, 0.0)
+            out.append((d, R, mu, sigma))
+    return out
+
+
+def _slice_overlap(d, R, mu, sigma):
+    """The overlap by quad over the axial coordinate w of the Gaussian, each
+    slice weighted by its chi-squared cross-section mass (scipy's chdtr)."""
+    def f(w):
+        phi = math.exp(-0.5 * ((w - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+        return phi * sps.chdtr(d - 1, (R * R - w * w) / sigma**2)
+
+    inner = [mu] if -R < mu < R else None
+    return spi.quad(f, -R, R, points=inner, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+
+def _conditioned_overlap_mp(d, R, mu, sigma):
+    """The overlap as E_C[Phi((rho - mu)/sigma) - Phi((-rho - mu)/sigma)] with
+    C ~ chi^2_{d-1} and rho = sqrt(R^2 - sigma^2 C), a 30-digit mpmath quad."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        R, mu, sigma = mp.mpf(R), mp.mpf(mu), mp.mpf(sigma)
+        h = mp.mpf(d - 1) / 2
+        norm = 1 / (2**h * mp.gamma(h))
+
+        def f(c):
+            rho = mp.sqrt(max(0, R * R - sigma * sigma * c))
+            hit = mp.ncdf((rho - mu) / sigma) - mp.ncdf((-rho - mu) / sigma)
+            return norm * c ** (h - 1) * mp.exp(-c / 2) * hit
+
+        # the chi-squared mass beyond C = 150 is below 1e-28 for d <= 8
+        c_max = min(R * R / (sigma * sigma), 150)
+        return float(mp.quad(f, [c for c in (0, 8, 30) if c < c_max] + [c_max]))
+
+
+@pytest.mark.parametrize("d, R, mu, sigma", _overlap_points(1, 0.1, 3.0, 8))
+def test_ball_overlap_wide_matches_slice_quad(d, R, mu, sigma):
+    assert sigma > functionals._CONDITION_BELOW * R
+    got = float(functionals._ball_overlap(R, mu, sigma, d))
+    assert got == pytest.approx(_slice_overlap(d, R, mu, sigma), abs=1e-12)
+
+
+@pytest.mark.parametrize("d, R, mu, sigma", _overlap_points(2, 1e-9, 0.1, 5))
+def test_ball_overlap_narrow_matches_mpmath(d, R, mu, sigma):
+    got = float(functionals._ball_overlap(R, mu, sigma, d))
+    assert got == pytest.approx(_conditioned_overlap_mp(d, R, mu, sigma), abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 8])
+def test_ball_overlap_continuous_across_switch(d):
+    R = 1.3
+    mu = np.concatenate([np.linspace(0.0, 3.0 * R, 13), [R]])
+    at = functionals._CONDITION_BELOW * R  # the last sigma of the conditioned form
+    below = functionals._ball_overlap(R, mu, at, d)
+    above = functionals._ball_overlap(R, mu, np.nextafter(at, math.inf), d)
+    assert np.max(np.abs(below - above)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 8])
+def test_ball_overlap_finite_down_to_tiny_sigma(d):
+    R = 0.7
+    sigma = R * np.geomspace(1e-150, 3.0, 150)
+    for mu in (0.0, 0.5 * R, R, np.nextafter(R, 0.0), np.nextafter(R, 2.0), 3.0 * R):
+        vals = functionals._ball_overlap(R, mu, sigma, d)
+        assert np.all(np.isfinite(vals)) and np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+def test_ball_overlap_d3_closed_form_matches_chndtr():
+    for _, R, mu, sigma in _overlap_points(3, 0.1, 3.0, 12):
+        got = float(functionals._ball_overlap(R, mu, sigma, 3))
+        assert got == pytest.approx(sps.chndtr((R / sigma) ** 2, 3, (mu / sigma) ** 2), abs=1e-13)
+
+
+def test_ball_overlap_small_sigma_regressions():
+    # the former slice rule gave 0 and 2.8e-4 too low here
+    assert abs(float(functionals._ball_overlap(1.0, 0.5, 1e-20, 4)) - 1.0) < 1e-14
+    got = float(functionals._ball_overlap(1.0, 1.0, 1e-3, 4))
+    assert abs(got - 0.49940158670406737) < 1e-12
+
+
+def test_j_transform_d4_ball_value():
+    # an independent quad gives 16.941067641971284; the slice rule read 5.9e-8 low
+    est = j_transform(BallIndicator(None, 1.0, 1.0), (1, 0, 0, 0), (0, 1, 0, 0), 4)
+    assert est.converged
+    assert est.value == pytest.approx(16.941067641971284, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # bridge functionals
 # ---------------------------------------------------------------------------
 
@@ -297,8 +398,8 @@ def test_n_half_swap_identity():
     y = (1.0, 0.0, 0.0)
     spec_xy = BridgeSpec(1.0, x, y)
     spec_yx = BridgeSpec(1.0, y, x)
-    lhs = n_second_half(BALL, spec_xy)
-    rhs = n_first_half(BALL, spec_yx)
+    lhs = functionals._n_halves(BALL, spec_xy, DEFAULT_SPEC_1D)[1]
+    rhs = functionals._n_halves(BALL, spec_yx, DEFAULT_SPEC_1D)[0]
     assert lhs.value == pytest.approx(rhs.value, rel=1e-8)
 
 

@@ -6,41 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special as sps
-from scipy.stats import chi2 as chi2_dist
 
-from bridgepot.functionals import _chi2_cdf_fast
 from bridgepot.special import (
     ball_volume,
-    chi2_cdf,
-    gammainc_lower_reg,
     norm_cdf,
     sin_power_antideriv,
     sphere_area,
 )
-
-
-def test_gammainc_against_scipy():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        a = rng.uniform(0.3, 6.0)
-        y = rng.uniform(0.0, 30.0)
-        mine = gammainc_lower_reg(a, y)
-        ref = float(sps.gammainc(a, y))
-        assert mine == pytest.approx(ref, rel=1e-12, abs=1e-14)
-
-
-def test_gammainc_small_argument():
-    # series regime: P(a, y) ~ y^a / Gamma(a+1) as y -> 0
-    a, y = 1.5, 1e-10
-    assert gammainc_lower_reg(a, y) == pytest.approx(y**a / math.gamma(a + 1.0), rel=1e-9)
-
-
-def test_chi2_cdf_matches_scipy():
-    from scipy.stats import chi2 as chi2_dist
-
-    x = np.linspace(0.01, 40, 117)
-    for k in (1, 2, 3, 4, 5, 7):
-        assert np.allclose(chi2_cdf(k, x), chi2_dist.cdf(x, k), rtol=1e-11, atol=1e-13)
 
 
 def test_sphere_area_values():
@@ -76,11 +48,3 @@ def test_norm_cdf():
 @given(hnp.arrays(float, st.integers(1, 40), elements=st.floats(-40.0, 40.0)))
 def test_norm_cdf_matches_ndtr(x):
     assert np.allclose(norm_cdf(x), sps.ndtr(x), rtol=1e-14, atol=1e-300)
-
-
-@given(
-    st.integers(1, 6),
-    hnp.arrays(float, st.integers(1, 40), elements=st.floats(0.0, 200.0)),
-)
-def test_chi2_cdf_fast_matches_scipy(k, x):
-    assert np.allclose(_chi2_cdf_fast(k, x), chi2_dist.cdf(x, k), rtol=1e-10, atol=1e-13)
