@@ -12,6 +12,12 @@ symmetry-aware dimension reduction:
   * the |z - x|^{2-d} singularity sits at s = 0 in the polar variables,
     where the Jacobian cancels it.
 
+Every transform checks its probes and V's pinned dimension in one place
+(``_probe_args``) and integrates a sign-uniform Sum term by term.  The
+radial routes take |V| as power cells from ``RadialProfile.kernel_cells``
+(which rejects overlapping cells of both signs) and share one integral over
+the polar radius s (``_s_integral``).
+
 The bridge functionals integrate Gaussian averages of |V| in time; for
 d = 3 the radial Gaussian mean has an elementary closed form.  For
 piecewise-constant radial profiles it is a sum of ball overlaps, which at
@@ -50,6 +56,7 @@ from .potentials import (
     Sum,
     Symmetry,
     axial_profile,
+    cell_edges,
     radial_profile,
 )
 from .quadrature import (
@@ -116,18 +123,34 @@ class BridgeSpec:
 # ===========================================================================
 
 
-def _probe_geometry(x, y, d: int) -> tuple[float, float, float]:
-    """(|x|, |y|, cos angle(x, y)); the angle defaults to 1 when degenerate."""
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    if xv.size != d or yv.size != d:
+_ZERO = Estimate(0.0, 0.0, Status.CONVERGED)
+
+
+def _probe_args(V: Potential, d, *points) -> tuple:
+    """(d, *points as flat float vectors) of a transform of V, checked.
+
+    d defaults to the first point's length.  Every point must have d
+    coordinates and a dimension pinned by V (ball centres) must be d.
+    """
+    vecs = [np.asarray(p, dtype=float).reshape(-1) for p in points]
+    d = as_dimension(d if d is not None else vecs[0].size)
+    if any(v.size != d for v in vecs):
         raise DimensionError(f"probe points must have {d} coordinates")
-    nx = float(np.linalg.norm(xv))
-    ny = float(np.linalg.norm(yv))
-    if nx == 0.0 or ny == 0.0:
-        return nx, ny, 1.0
-    ct = float(np.dot(xv, yv) / (nx * ny))
-    return nx, ny, min(1.0, max(-1.0, ct))
+    hint = V.dimension_hint()
+    if hint is not None and hint != d:
+        raise DimensionError(f"potential pins dimension {hint}, transform asked for {d}")
+    return (d, *vecs)
+
+
+def _probe_pair(d: int, rx: float, ry: float, ct: float) -> tuple[np.ndarray, np.ndarray]:
+    """x, y in R^d with |x| = rx, y = ry e1 and cos angle(x, y) = ct (clipped)."""
+    ct = min(1.0, max(-1.0, ct))
+    x = np.zeros(d)
+    y = np.zeros(d)
+    y[0] = ry
+    x[0] = rx * ct
+    x[1] = rx * math.sqrt(max(0.0, 1.0 - ct * ct))
+    return x, y
 
 
 def _on_axis(v: np.ndarray) -> bool:
@@ -198,12 +221,9 @@ def _radial_isotropic_transform(
     is the high-accuracy route for k0(., 0)-type kernels (y = 0).
     """
     prof = radial_profile(V)
-    if prof.constant_cells is not None:
-        cells = [(lo, hi, val, 0.0) for lo, hi, val in prof.constant_cells if val != 0.0]
-    else:
-        _, _, cells = _radial_signed_cells(V)
+    cells = prof.kernel_cells()
     if not cells:
-        return Estimate(0.0, 0.0, Status.CONVERGED)
+        return _ZERO
     m = d - 2
     area = sphere_area(d - 2)
 
@@ -221,29 +241,33 @@ def _radial_isotropic_transform(
         out[good] = mass[good] * np.exp(np.maximum(logk[good], -745.0))
         return out
 
-    sbreaks = sorted(
-        {
-            b
-            for lo, hi, *_ in cells
-            for r in (lo, hi)
-            if math.isfinite(r) and r > 0
-            for b in (abs(nx - r), nx + r)
-            if b > 0.0
-        }
-    )
-    support = prof.support
+    return _s_integral(integrand, nx, cell_edges(cells), prof.support, q).scaled(area)
+
+
+def _s_integral(
+    integrand: Callable[[np.ndarray], np.ndarray],
+    nx: float,
+    radii: Sequence[float],
+    support: float,
+    q: QuadratureSpec,
+) -> Estimate:
+    """int of integrand over the polar radius s = |z - x|, |x| = nx.
+
+    The range is [0, nx + support], or the half-line for an unbounded
+    support; s = |nx - r| and nx + r, where the sphere about x meets a cell
+    edge r, are breakpoints.
+    """
+    sbreaks = sorted({b for r in radii for b in (abs(nx - r), nx + r) if b > 0.0})
     if math.isfinite(support):
         s_max = nx + support
         if s_max <= 0.0:
-            return Estimate(0.0, 0.0, Status.CONVERGED)
-        est = integrate_finite(
+            return _ZERO
+        return integrate_finite(
             integrand, 0.0, s_max, q, breakpoints=[b for b in sbreaks if b < s_max]
         )
-        return est.scaled(area)
     center = max(sbreaks[0] if sbreaks else 1.0, 1e-6)
     upper = max(sbreaks[-1] if sbreaks else 1.0, nx + 1.0) * 10.0
-    est = integrate_half_line(integrand, q, center=center, must_cover=(center * 1e-3, upper))
-    return est.scaled(area)
+    return integrate_half_line(integrand, q, center=center, must_cover=(center * 1e-3, upper))
 
 
 def _k_like_radial_transform(
@@ -279,18 +303,13 @@ def _k_like_radial_transform(
     st = math.sqrt(max(0.0, 1.0 - ct * ct))
     theta = math.atan2(st, ct)
 
-    if prof.constant_cells is not None:
-        cells = [(lo, hi, val, 0.0) for lo, hi, val in prof.constant_cells if val != 0.0]
-    else:
-        _, _, cells = _radial_signed_cells(V)
+    cells = prof.kernel_cells()
     if not cells:
-        return Estimate(0.0, 0.0, Status.CONVERGED)
+        return _ZERO
 
     m = d - 3  # azimuthal sin power
     area = sphere_area(max(d - 3, 0))
-    radii = sorted(
-        {r for lo, hi, *_ in cells for r in (lo, hi) if math.isfinite(r) and r > 0}
-    )
+    radii = cell_edges(cells)
     inner_spec = QuadratureSpec(
         rel_tol=max(q.rel_tol * 0.1, 1e-13), abs_tol=0.0, max_subdivisions=200
     )
@@ -348,39 +367,8 @@ def _k_like_radial_transform(
             out[i] = est.value * math.exp(min((d - 1.0) * math.log(s), 700.0))
         return out
 
-    def with_inner_status(est: Estimate) -> Estimate:
-        return Estimate(est.value, est.error_bound, worst_status(est.status, inner_status))
-
-    sbreaks = sorted({b for r in radii for b in (abs(nx - r), nx + r) if b > 0.0})
-    support = prof.support
-    if math.isfinite(support):
-        s_max = nx + support
-        if s_max <= 0.0:
-            return Estimate(0.0, 0.0, Status.CONVERGED)
-        est = integrate_finite(
-            s_integrand, 0.0, s_max, q, breakpoints=[b for b in sbreaks if b < s_max]
-        )
-        return with_inner_status(est).scaled(area)
-    center = max(sbreaks[0] if sbreaks else 1.0, 1e-6)
-    upper = max(sbreaks[-1] if sbreaks else 1.0, nx + 1.0) * 10.0
-    est = integrate_half_line(s_integrand, q, center=center, must_cover=(center * 1e-3, upper))
-    return with_inner_status(est).scaled(area)
-
-
-def _radial_signed_cells(V: Potential):
-    """Access the pure-power cell decomposition, rejecting mixed-sign overlap."""
-    from .potentials import _radial_signed  # internal cooperation
-
-    fn, pts, cells = _radial_signed(V)
-    if cells is None:
-        raise GeometryError(
-            "this radial potential mixes signs across overlapping non-constant "
-            "pieces; the kernel transforms need a clean |V| cell decomposition"
-        )
-    signs = {math.copysign(1.0, amp) for _, _, amp, _ in cells if amp != 0.0}
-    if len(signs) > 1 and not all(expo == 0.0 for *_, expo in cells):
-        raise GeometryError("mixed-sign overlapping power cells are not supported")
-    return fn, pts, cells
+    est = _s_integral(s_integrand, nx, radii, prof.support, q)
+    return Estimate(est.value, est.error_bound, worst_status(est.status, inner_status)).scaled(area)
 
 
 # ===========================================================================
@@ -499,21 +487,10 @@ def k_transform(
     V: Potential, x, y, d=None, q: QuadratureSpec = DEFAULT_SPEC_2D
 ) -> Estimate:
     """K(V, x, y) = int |V(z)| k0(z - x, y) dz with symmetry-aware reduction."""
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    d = as_dimension(d if d is not None else xv.size)
-    if xv.size != d or yv.size != d:
-        raise DimensionError(f"probe points must have {d} coordinates")
-    hint = V.dimension_hint()
-    if hint is not None and hint != d:
-        raise DimensionError(f"potential pins dimension {hint}, transform asked for {d}")
-
+    d, xv, yv = _probe_args(V, d, x, y)
     parts = _split_same_sign_sum(V)
     if len(parts) > 1:
-        total = Estimate(0.0, 0.0, Status.CONVERGED)
-        for part in parts:
-            total = total + k_transform(part, xv, yv, d, q)
-        return total
+        return sum((k_transform(part, xv, yv, d, q) for part in parts), _ZERO)
 
     ny = float(np.linalg.norm(yv))
 
@@ -558,20 +535,11 @@ def newton_potential(
     the Riesz kernel, max(r, |x|)^{2-d}; axial potentials probed on the
     axis use the cylindrical reduction.
     """
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    d = as_dimension(d if d is not None else xv.size)
-    if xv.size != d:
-        raise DimensionError(f"probe point must have {d} coordinates")
-    hint = V.dimension_hint()
-    if hint is not None and hint != d:
-        raise DimensionError(f"potential pins dimension {hint}, transform asked for {d}")
+    d, xv = _probe_args(V, d, x)
     cd = newton_constant(d)
     parts = _split_same_sign_sum(V)
     if len(parts) > 1:
-        total = Estimate(0.0, 0.0, Status.CONVERGED)
-        for part in parts:
-            total = total + newton_potential(part, xv, d, q)
-        return total
+        return sum((newton_potential(part, xv, d, q) for part in parts), _ZERO)
 
     if V.symmetry is Symmetry.RADIAL:
         prof = radial_profile(V)
@@ -632,9 +600,7 @@ def j_transform(
     radial Newton potential, the drift-time integral) use DEFAULT_SPEC_1D
     and the others DEFAULT_SPEC_2D.
     """
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    d = as_dimension(d if d is not None else xv.size)
+    d, xv, yv = _probe_args(V, d, x, y)
     ny = float(np.linalg.norm(yv))
     if ny == 0.0:
         const = math.gamma(d / 2.0 - 1.0) * 4.0 ** (d / 2.0 - 1.0) / newton_constant(d)
@@ -854,20 +820,20 @@ def _crossing_times(x: np.ndarray, y: np.ndarray, t: float, radii) -> list[float
     return [s for s in out if 0.0 < s < t]
 
 
+def _bridge_inputs(V: Potential, spec: BridgeSpec) -> tuple:
+    """(d, radial profile of V, x, y) of a bridge functional, checked."""
+    d, x, y = _probe_args(V, spec.d, spec.x, spec.y)
+    if V.symmetry is not Symmetry.RADIAL:
+        raise GeometryError("bridge functionals support radial potentials in v1")
+    return d, radial_profile(V), x, y
+
+
 def s_functional(
     V: Potential, spec: BridgeSpec, q: QuadratureSpec = DEFAULT_SPEC_1D
 ) -> Estimate:
     """Bridge potential S(V, t, x, y): the expected integral of |V| along the
     pinned bridge, evaluated as a time integral of Gaussian means of |V|."""
-    d = as_dimension(spec.d)
-    hint = V.dimension_hint()
-    if hint is not None and hint != d:
-        raise DimensionError(f"potential pins dimension {hint}, bridge has {d}")
-    if V.symmetry is not Symmetry.RADIAL:
-        raise GeometryError("bridge functionals support radial potentials in v1")
-    prof = radial_profile(V)
-    x = np.asarray(spec.x, dtype=float)
-    y = np.asarray(spec.y, dtype=float)
+    d, prof, x, y = _bridge_inputs(V, spec)
     t = spec.t
 
     def integrand(s: np.ndarray) -> np.ndarray:
@@ -891,15 +857,7 @@ def _n_halves(
     x, with per-coordinate variance 2 tau (first half) and 2 (t - tau)
     (second half).
     """
-    d = as_dimension(spec.d)
-    hint = V.dimension_hint()
-    if hint is not None and hint != d:
-        raise DimensionError(f"potential pins dimension {hint}, bridge has {d}")
-    if V.symmetry is not Symmetry.RADIAL:
-        raise GeometryError("bridge functionals support radial potentials in v1")
-    prof = radial_profile(V)
-    x = np.asarray(spec.x, dtype=float)
-    y = np.asarray(spec.y, dtype=float)
+    d, prof, x, y = _bridge_inputs(V, spec)
     t = spec.t
 
     def center_norm(tau: np.ndarray) -> np.ndarray:
@@ -1007,7 +965,6 @@ class AxisSpec:
 class SearchStrategy:
     grid_density: int = 7
     multistarts: int = 3
-    local_refinement: bool = True
     nm_max_iter: int = 160
 
 
@@ -1061,57 +1018,56 @@ def sup_search(
         ):
             boundary = True
 
-    if strategy.local_refinement:
-        starts = []
-        seen = set()
-        for idx in order:
-            key = tuple(points[int(idx)])
-            if key in seen:
-                continue
-            seen.add(key)
-            starts.append(points[int(idx)])
-            if len(starts) >= strategy.multistarts:
-                break
+    starts = []
+    seen = set()
+    for idx in order:
+        key = tuple(points[int(idx)])
+        if key in seen:
+            continue
+        seen.add(key)
+        starts.append(points[int(idx)])
+        if len(starts) >= strategy.multistarts:
+            break
 
-        def to_internal(pt: np.ndarray) -> np.ndarray:
-            out = []
-            for j, ax in enumerate(axes):
-                if ax.scale == "log":
-                    out.append(math.log(max(pt[j], ax.lo * 1e-3)))
-                else:
-                    out.append(pt[j])
-            return np.asarray(out)
+    def to_internal(pt: np.ndarray) -> np.ndarray:
+        out = []
+        for j, ax in enumerate(axes):
+            if ax.scale == "log":
+                out.append(math.log(max(pt[j], ax.lo * 1e-3)))
+            else:
+                out.append(pt[j])
+        return np.asarray(out)
 
-        def to_external(u: np.ndarray) -> np.ndarray:
-            out = []
-            for j, ax in enumerate(axes):
-                if ax.scale == "log":
-                    out.append(min(max(math.exp(u[j]), ax.lo * 1e-3), ax.hi * 1e3))
-                else:
-                    out.append(min(max(u[j], ax.lo), ax.hi))
-            return np.asarray(out)
+    def to_external(u: np.ndarray) -> np.ndarray:
+        out = []
+        for j, ax in enumerate(axes):
+            if ax.scale == "log":
+                out.append(min(max(math.exp(u[j]), ax.lo * 1e-3), ax.hi * 1e3))
+            else:
+                out.append(min(max(u[j], ax.lo), ax.hi))
+        return np.asarray(out)
 
-        counter = [evals]
+    counter = [evals]
 
-        def neg(u: np.ndarray) -> float:
-            counter[0] += 1
-            return -objective(to_external(u))
+    def neg(u: np.ndarray) -> float:
+        counter[0] += 1
+        return -objective(to_external(u))
 
-        for start in starts:
-            res = _scipy_optimize.minimize(
-                neg,
-                to_internal(start),
-                method="Nelder-Mead",
-                options={"maxiter": strategy.nm_max_iter, "xatol": 1e-6, "fatol": 1e-12},
-            )
-            cand_pt = to_external(res.x)
-            cand_val = float(objective(cand_pt))
-            counter[0] += 1
-            if cand_val > best_val:
-                best_val = cand_val
-                best_pt = cand_pt
-            trace.append(f"simplex from {np.round(start, 6).tolist()}: {cand_val:.6g}")
-        evals = counter[0]
+    for start in starts:
+        res = _scipy_optimize.minimize(
+            neg,
+            to_internal(start),
+            method="Nelder-Mead",
+            options={"maxiter": strategy.nm_max_iter, "xatol": 1e-6, "fatol": 1e-12},
+        )
+        cand_pt = to_external(res.x)
+        cand_val = float(objective(cand_pt))
+        counter[0] += 1
+        if cand_val > best_val:
+            best_val = cand_val
+            best_pt = cand_pt
+        trace.append(f"simplex from {np.round(start, 6).tolist()}: {cand_val:.6g}")
+    evals = counter[0]
 
     arg = {ax.name: float(v) for ax, v in zip(axes, best_pt)}
     return SupResult(best_val, arg, evals, tuple(trace), boundary)
@@ -1157,14 +1113,6 @@ def truncate_potential(V: Potential, R: float) -> Potential:
     raise BridgepotError(f"cannot truncate {type(V).__name__}")
 
 
-def _default_k_domain(V: Potential, d: int) -> list[AxisSpec]:
-    return [
-        AxisSpec("r_x", 1e-3, 1e3, "log", include_zero=True),
-        AxisSpec("r_y", 1e-3, 1e3, "log", include_zero=True),
-        AxisSpec("cos_angle", -1.0, 1.0, "linear"),
-    ]
-
-
 def k_norm(
     V: Potential,
     d,
@@ -1189,28 +1137,18 @@ def k_norm(
     V_search = V if V.is_compact else truncate_potential(V, max(ladder))
     if V.symmetry is Symmetry.RADIAL:
         def objective(p: np.ndarray) -> float:
-            rx, ry, ct = p
-            ct = min(1.0, max(-1.0, ct))
-            st = math.sqrt(max(0.0, 1.0 - ct * ct))
-            x = np.zeros(d)
-            y = np.zeros(d)
-            y[0] = ry
-            x[0] = rx * ct
-            if d >= 2:
-                x[1] = rx * st
-            est = k_transform(V_search, x, y, d, q)
+            est = k_transform(V_search, *_probe_pair(d, *p), d, q)
             return est.value if math.isfinite(est.value) else -math.inf
 
-        domain = _default_k_domain(V, d)
+        domain = [
+            AxisSpec("r_x", 1e-3, 1e3, "log", include_zero=True),
+            AxisSpec("r_y", 1e-3, 1e3, "log", include_zero=True),
+            AxisSpec("cos_angle", -1.0, 1.0, "linear"),
+        ]
         sup = sup_search(objective, domain, strategy)
     else:
         def objective(p: np.ndarray) -> float:
-            x1, y1 = p
-            x = np.zeros(d)
-            y = np.zeros(d)
-            x[0] = x1
-            y[0] = y1
-            est = k_transform(V_search, x, y, d, q)
+            est = k_transform(V_search, *_probe_pair(d, p[0], p[1], 1.0), d, q)
             return est.value if math.isfinite(est.value) else -math.inf
 
         domain = [
@@ -1224,9 +1162,7 @@ def k_norm(
     status = Status.CONVERGED
     if sup.boundary_hit or not V.is_compact:
         if probe is None:
-            px = np.zeros(d)
-            py = np.zeros(d)
-            py[0] = 1.0
+            px, py = _probe_pair(d, 0.0, 1.0, 1.0)
         else:
             px = np.asarray(probe[0], dtype=float)
             py = np.asarray(probe[1], dtype=float)
@@ -1278,16 +1214,8 @@ def s_norm(
     d = as_dimension(d)
 
     def objective(p: np.ndarray) -> float:
-        t, rx, ry, ct = p
-        ct = min(1.0, max(-1.0, ct))
-        st = math.sqrt(max(0.0, 1.0 - ct * ct))
-        x = np.zeros(d)
-        y = np.zeros(d)
-        y[0] = ry
-        x[0] = rx * ct
-        if d >= 2:
-            x[1] = rx * st
-        est = s_functional(V, BridgeSpec(t, tuple(x), tuple(y)), q)
+        x, y = _probe_pair(d, *p[1:])
+        est = s_functional(V, BridgeSpec(p[0], tuple(x), tuple(y)), q)
         return est.value if math.isfinite(est.value) else -math.inf
 
     domain = [
@@ -1323,9 +1251,7 @@ def build_compact_counterexample(
     d = as_dimension(d)
     if n_terms < 1 or n_terms > 5:
         raise BridgepotError("n_terms must be between 1 and 5 (float range)")
-    x0 = np.zeros(d)
-    y0 = np.zeros(d)
-    y0[0] = 1.0
+    x0, y0 = _probe_pair(d, 0.0, 1.0, 1.0)
 
     def probe_norm(R: float) -> float:
         return k_transform(CounterexampleA(z1_max=R), x0, y0, d, q).value

@@ -185,13 +185,11 @@ def k0(x, y, d) -> float:
 # --------------------------------------------------------------------------
 
 
-def _check_fparams(a: float, b: float, beta: float, c: float, b_positive: bool = True):
+def _check_fparams(a: float, b: float, beta: float, c: float):
     if not (a > 0.0):
         raise ValueError(f"a must be > 0, got {a}")
-    if b_positive and not (b > 0.0):
+    if not (b > 0.0):
         raise ValueError(f"b must be > 0, got {b}")
-    if not b_positive and b < 0.0:
-        raise ValueError(f"b must be >= 0, got {b}")
     if not (beta > 1.0):
         raise ValueError(f"beta must be > 1, got {beta}")
     if not (c > 0.0):
@@ -386,11 +384,11 @@ def gaussian_tail_power_integral(a: float, beta: float, c: float) -> float:
 # --------------------------------------------------------------------------
 
 
-def j_kernel(x, y, d, q: QuadratureSpec = DEFAULT_SPEC_1D) -> Estimate:
-    """Time-integrated drifted kernel via the completed-square factorization.
+def _j_args(x, y, d) -> tuple:
+    """(d, x, y, |x|, |y|, closed form) of J, checked; x must be nonzero.
 
-    J(x, y) = exp(-(|x||y| - x.y)/2) f(|x|/2, |y|/2) with beta = d/2, c = 1.
-    For y = 0 the integral collapses to the closed gamma form.
+    The closed form is J at y = 0, where the time integral is a gamma
+    function, and None for y != 0.
     """
     d = as_dimension(d)
     xv = _vec(x, d, "x")
@@ -399,9 +397,21 @@ def j_kernel(x, y, d, q: QuadratureSpec = DEFAULT_SPEC_1D) -> Estimate:
     ny = float(np.linalg.norm(yv))
     if nx == 0.0:
         raise ValueError("x must be nonzero (kernel is singular at 0)")
-    if ny == 0.0:
-        val = gaussian_tail_power_integral(nx / 2.0, d / 2.0, 1.0)
-        return Estimate(val, abs(val) * 1e-14, Status.CONVERGED)
+    if ny != 0.0:
+        return d, xv, yv, nx, ny, None
+    val = gaussian_tail_power_integral(nx / 2.0, d / 2.0, 1.0)
+    return d, xv, yv, nx, ny, Estimate(val, abs(val) * 1e-14, Status.CONVERGED)
+
+
+def j_kernel(x, y, d, q: QuadratureSpec = DEFAULT_SPEC_1D) -> Estimate:
+    """Time-integrated drifted kernel via the completed-square factorization.
+
+    J(x, y) = exp(-(|x||y| - x.y)/2) f(|x|/2, |y|/2) with beta = d/2, c = 1.
+    For y = 0 the integral collapses to the closed gamma form.
+    """
+    d, xv, yv, nx, ny, closed = _j_args(x, y, d)
+    if closed is not None:
+        return closed
     pref = math.exp(-0.5 * _angle_gap(xv, yv))
     return f_integral(nx / 2.0, ny / 2.0, d / 2.0, 1.0, q).scaled(pref)
 
@@ -412,16 +422,9 @@ def j_kernel_direct(x, y, d, q: QuadratureSpec = DEFAULT_SPEC_1D) -> Estimate:
     Cross-check path for j_kernel; the exponent is expanded as
     |x|^2/(4t) + t|y|^2/4 - x.y/2, which is exact and free of cancellation.
     """
-    d = as_dimension(d)
-    xv = _vec(x, d, "x")
-    yv = _vec(y, d, "y")
-    nx = float(np.linalg.norm(xv))
-    ny = float(np.linalg.norm(yv))
-    if nx == 0.0:
-        raise ValueError("x must be nonzero (kernel is singular at 0)")
-    if ny == 0.0:
-        val = gaussian_tail_power_integral(nx / 2.0, d / 2.0, 1.0)
-        return Estimate(val, abs(val) * 1e-14, Status.CONVERGED)
+    d, xv, yv, nx, ny, closed = _j_args(x, y, d)
+    if closed is not None:
+        return closed
 
     # exponent split: |x - t y|^2/(4t) = |x|^2/(4t) + t|y|^2/4 - x.y/2; the
     # |x||y|/2 part of x.y/2 is kept inside the integrand so its peak value

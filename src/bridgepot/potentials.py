@@ -13,9 +13,12 @@ Potentials are built from a small set of analytic forms:
     Sum(terms)
 
 Every form carries derived symmetry (radial / axial about e1 / general),
-sign class, and support metadata; the transform modules use the symmetry
-tag to pick a dimension-reduced quadrature.  All potentials are immutable
-and evaluation is pure.
+sign class, support and ``value_range()`` metadata (an interval holding
+every value; ``bound_above()`` = max(hi, 0)); the transform modules use the
+symmetry tag to pick a dimension-reduced quadrature, and take |V| as the
+cells of ``RadialProfile.kernel_cells()`` or in (z1, rho) up to each
+on-axis ball's exact chord.  All potentials are immutable and evaluation
+is pure.
 
 The JSON wire format round-trips exactly::
 
@@ -41,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BridgepotError, DimensionError
+from .errors import BridgepotError, DimensionError, GeometryError
 from .growth import growth_diagnosis, shell_sum, verdict_estimate
 from .kernels import as_dimension
 from .quadrature import (
@@ -126,9 +129,13 @@ class Potential:
         """Dimension pinned by the form (ball centers), or None if d-agnostic."""
         return None
 
+    def value_range(self) -> tuple[float, float]:
+        """(lo, hi) with lo <= V(z) <= hi everywhere; either end may be infinite."""
+        raise NotImplementedError
+
     def bound_above(self) -> float:
         """Upper bound for V^+ = max(V, 0); +inf means the positive part is unbounded."""
-        raise NotImplementedError
+        return max(self.value_range()[1], 0.0)
 
     def _values(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -149,8 +156,8 @@ class Constant(Potential):
     def support_radius(self) -> float:
         return 0.0 if self.value == 0.0 else math.inf
 
-    def bound_above(self) -> float:
-        return max(self.value, 0.0)
+    def value_range(self) -> tuple[float, float]:
+        return self.value, self.value
 
     def _values(self, Z: np.ndarray) -> np.ndarray:
         return np.full(Z.shape[0], float(self.value))
@@ -189,8 +196,8 @@ class BallIndicator(Potential):
     def dimension_hint(self) -> int | None:
         return None if self.center is None else len(self.center)
 
-    def bound_above(self) -> float:
-        return max(self.amplitude, 0.0)
+    def value_range(self) -> tuple[float, float]:
+        return min(self.amplitude, 0.0), max(self.amplitude, 0.0)
 
     def _values(self, Z: np.ndarray) -> np.ndarray:
         if self.center is None:
@@ -231,25 +238,18 @@ class RadialPower(Potential):
     def support_radius(self) -> float:
         return self.outer_radius
 
-    def bound_above(self) -> float:
-        if self.amplitude <= 0.0:
-            return 0.0
-        hi = max(
-            self.inner_radius ** self.exponent if self.inner_radius > 0 else
-            (0.0 if self.exponent > 0 else math.inf),
-            self.outer_radius ** self.exponent if math.isfinite(self.outer_radius) else
-            (math.inf if self.exponent > 0 else 0.0),
-        )
-        return self.amplitude * hi
+    def value_range(self) -> tuple[float, float]:
+        # r^exponent is monotone on [inner, outer]; V is 0 off the annulus
+        ends = sorted((self.inner_radius**self.exponent, self.outer_radius**self.exponent))
+        lo, hi = _scaled_range(self.amplitude, *ends)
+        return min(lo, 0.0), max(hi, 0.0)
 
     def _values(self, Z: np.ndarray) -> np.ndarray:
         r = np.sqrt(np.sum(Z * Z, axis=1))
         inside = (r >= self.inner_radius) & (r <= self.outer_radius)
         out = np.zeros(Z.shape[0])
-        rr = np.where(inside & (r > 0), r, 1.0)
-        out[inside] = self.amplitude * rr[inside] ** self.exponent
-        if self.exponent == 0.0 and self.inner_radius == 0.0:
-            out[(r == 0)] = self.amplitude
+        # r = 0 is inside only when exponent >= 0, where 0^exponent is exact
+        out[inside] = self.amplitude * r[inside] ** self.exponent
         return out
 
 
@@ -281,8 +281,8 @@ class CounterexampleA(Potential):
         # A cap {z1 <= m} fits inside the ball of radius sqrt(m^2 + m)
         return math.sqrt(self.z1_max**2 + self.z1_max)
 
-    def bound_above(self) -> float:
-        return 0.0
+    def value_range(self) -> tuple[float, float]:
+        return -0.25, 0.0
 
     def _values(self, Z: np.ndarray) -> np.ndarray:
         z1 = Z[:, 0]
@@ -321,8 +321,8 @@ class Dilate(Potential):
     def dimension_hint(self) -> int | None:
         return self.inner.dimension_hint()
 
-    def bound_above(self) -> float:
-        return self.s * self.inner.bound_above()
+    def value_range(self) -> tuple[float, float]:
+        return _scaled_range(self.s, *self.inner.value_range())
 
     def _values(self, Z: np.ndarray) -> np.ndarray:
         return self.s * self.inner._values(math.sqrt(self.s) * Z)
@@ -356,46 +356,18 @@ class Scale(Potential):
     def dimension_hint(self) -> int | None:
         return self.inner.dimension_hint()
 
-    def bound_above(self) -> float:
-        if self.factor == 0.0:
-            return 0.0
-        if self.factor > 0.0:
-            return self.factor * self.inner.bound_above()
-        low = self.inner.sign
-        if low is SignClass.NONNEGATIVE:
-            return 0.0
-        return math.inf if not _bounded_below(self.inner) else -self.factor * _lower_bound(self.inner)
+    def value_range(self) -> tuple[float, float]:
+        return _scaled_range(self.factor, *self.inner.value_range())
 
     def _values(self, Z: np.ndarray) -> np.ndarray:
         return self.factor * self.inner._values(Z)
 
 
-def _bounded_below(p: Potential) -> bool:
-    return math.isfinite(_lower_bound(p))
-
-
-def _lower_bound(p: Potential) -> float:
-    """Crude finite lower bound for V, or -inf."""
-    if isinstance(p, Constant):
-        return min(p.value, 0.0)
-    if isinstance(p, BallIndicator):
-        return min(p.amplitude, 0.0)
-    if isinstance(p, RadialPower):
-        if p.amplitude >= 0.0:
-            return 0.0
-        b = p.bound_above() if p.amplitude > 0 else Scale(-1.0, p).bound_above()
-        return -b
-    if isinstance(p, CounterexampleA):
-        return -0.25
-    if isinstance(p, Dilate):
-        return p.s * _lower_bound(p.inner)
-    if isinstance(p, Scale):
-        if p.factor >= 0.0:
-            return p.factor * _lower_bound(p.inner)
-        return p.factor * Scale(1.0, p.inner).bound_above()
-    if isinstance(p, Sum):
-        return sum(_lower_bound(t) for t in p.terms)
-    return -math.inf
+def _scaled_range(factor: float, lo: float, hi: float) -> tuple[float, float]:
+    """The range of factor * V for V in [lo, hi]; a zero factor gives {0}."""
+    if factor == 0.0:
+        return 0.0, 0.0
+    return (factor * lo, factor * hi) if factor > 0.0 else (factor * hi, factor * lo)
 
 
 @dataclass(frozen=True)
@@ -429,8 +401,9 @@ class Sum(Potential):
             raise DimensionError(f"sum terms pin conflicting dimensions {sorted(hints)}")
         return next(iter(hints), None)
 
-    def bound_above(self) -> float:
-        return sum(t.bound_above() for t in self.terms)
+    def value_range(self) -> tuple[float, float]:
+        ranges = [t.value_range() for t in self.terms]
+        return sum(lo for lo, _ in ranges), sum(hi for _, hi in ranges)
 
     def _values(self, Z: np.ndarray) -> np.ndarray:
         total = np.zeros(Z.shape[0])
@@ -571,73 +544,74 @@ class RadialProfile:
 
     ``constant_cells`` is a partition into (lo, hi, value) cells when |V| is
     piecewise constant, else None; the cells enable closed-form Gaussian
-    overlaps in the bridge functionals.
+    overlaps in the bridge functionals.  ``cells`` are the signed
+    (lo, hi, amplitude, exponent) pieces of V, amplitude * r^exponent on
+    [lo, hi], which may overlap.
     """
 
     signed_value: callable
     breakpoints: tuple[float, ...]
     support: float
     constant_cells: tuple[tuple[float, float, float], ...] | None
+    cells: tuple[tuple[float, float, float, float], ...]
 
     def abs_value(self, r) -> np.ndarray:
         return np.abs(self.signed_value(np.asarray(r, dtype=float)))
 
+    def kernel_cells(self) -> list[tuple[float, float, float, float]]:
+        """|V| as (lo, hi, amplitude, exponent) cells whose |amplitude|s add up.
+
+        Piecewise-constant |V| gives its nonzero constant cells; otherwise
+        the signed pieces are returned, and overlapping pieces of both signs
+        raise GeometryError, since their absolute values do not add.
+        """
+        if self.constant_cells is not None:
+            return [(lo, hi, val, 0.0) for lo, hi, val in self.constant_cells if val != 0.0]
+        if len({math.copysign(1.0, amp) for _, _, amp, _ in self.cells if amp != 0.0}) > 1:
+            raise GeometryError("mixed-sign overlapping power cells are not supported")
+        return list(self.cells)
+
 
 def _radial_signed(V: Potential):
-    """(callable r -> value, breakpoints, pure power cells or None)."""
+    """(callable r -> value, signed (lo, hi, amplitude, exponent) cells)."""
     if isinstance(V, Constant):
-        return (lambda r: np.full_like(r, V.value)), (), [(0.0, math.inf, V.value, 0.0)]
+        return (lambda r: np.full_like(r, V.value)), [(0.0, math.inf, V.value, 0.0)]
     if isinstance(V, BallIndicator) and V.symmetry is Symmetry.RADIAL:
         def fn(r, V=V):
             return np.where(r <= V.radius, V.amplitude, 0.0)
-        return fn, (V.radius,), [(0.0, V.radius, V.amplitude, 0.0)]
+        return fn, [(0.0, V.radius, V.amplitude, 0.0)]
     if isinstance(V, RadialPower):
         def fn(r, V=V):
             inside = (r >= V.inner_radius) & (r <= V.outer_radius)
-            safe = np.where(r > 0, r, 1.0)
+            # r = 0 is inside only when exponent >= 0, and its value is 0^exponent
+            safe = np.where(r > 0, r, 0.0 if V.exponent >= 0 else 1.0)
             return np.where(inside, V.amplitude * safe**V.exponent, 0.0)
-        pts = tuple(p for p in (V.inner_radius, V.outer_radius) if math.isfinite(p) and p > 0)
-        return fn, pts, [(V.inner_radius, V.outer_radius, V.amplitude, V.exponent)]
+        return fn, [(V.inner_radius, V.outer_radius, V.amplitude, V.exponent)]
     if isinstance(V, Dilate):
-        inner_fn, pts, cells = _radial_signed(V.inner)
+        inner_fn, cells = _radial_signed(V.inner)
         rt = math.sqrt(V.s)
 
         def fn(r, inner_fn=inner_fn, s=V.s, rt=rt):
             return s * inner_fn(rt * r)
 
-        new_cells = None
-        if cells is not None:
-            new_cells = [
-                (lo / rt, hi / rt, V.s * amp * rt**expo, expo) for lo, hi, amp, expo in cells
-            ]
-        return fn, tuple(p / rt for p in pts), new_cells
+        return fn, [(lo / rt, hi / rt, V.s * amp * rt**expo, expo) for lo, hi, amp, expo in cells]
     if isinstance(V, Scale):
-        inner_fn, pts, cells = _radial_signed(V.inner)
+        inner_fn, cells = _radial_signed(V.inner)
 
         def fn(r, inner_fn=inner_fn, f=V.factor):
             return f * inner_fn(r)
 
-        new_cells = None
-        if cells is not None:
-            new_cells = [(lo, hi, V.factor * amp, expo) for lo, hi, amp, expo in cells]
-        return fn, pts, new_cells
+        return fn, [(lo, hi, V.factor * amp, expo) for lo, hi, amp, expo in cells]
     if isinstance(V, Sum) and V.symmetry is Symmetry.RADIAL:
         parts = [_radial_signed(t) for t in V.terms]
 
         def fn(r, parts=parts):
             total = np.zeros_like(np.asarray(r, dtype=float))
-            for pfn, _, _ in parts:
+            for pfn, _ in parts:
                 total = total + pfn(r)
             return total
 
-        pts = tuple(sorted({p for _, ppts, _ in parts for p in ppts}))
-        cells: list | None = []
-        for _, _, pcells in parts:
-            if pcells is None:
-                cells = None
-                break
-            cells.extend(pcells)
-        return fn, pts, cells
+        return fn, [c for _, pcells in parts for c in pcells]
     raise BridgepotError(f"potential {type(V).__name__} has no radial reduction")
 
 
@@ -645,10 +619,10 @@ def radial_profile(V: Potential) -> RadialProfile:
     """Radial reduction of a radially symmetric potential."""
     if V.symmetry is not Symmetry.RADIAL:
         raise BridgepotError("radial_profile requires a radially symmetric potential")
-    fn, pts, cells = _radial_signed(V)
+    fn, cells = _radial_signed(V)
     support = V.support_radius()
     const_cells = None
-    if cells is not None and all(expo == 0.0 for _, _, _, expo in cells):
+    if all(expo == 0.0 for _, _, _, expo in cells):
         edges = sorted({0.0, support, *(e for c in cells for e in c[:2] if math.isfinite(e))})
         merged = []
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -658,7 +632,12 @@ def radial_profile(V: Potential) -> RadialProfile:
         if tail:
             merged.append((edges[-1], math.inf, abs(sum(c[2] for c in tail))))
         const_cells = tuple(merged)
-    return RadialProfile(fn, tuple(pts), support, const_cells)
+    return RadialProfile(fn, cell_edges(cells), support, const_cells, tuple(cells))
+
+
+def cell_edges(cells) -> tuple[float, ...]:
+    """The finite positive edges of (lo, hi, ...) radial cells, sorted."""
+    return tuple(sorted({r for c in cells for r in c[:2] if math.isfinite(r) and r > 0}))
 
 
 @dataclass(frozen=True)
@@ -673,6 +652,15 @@ class AxialProfile:
 
     def abs_value(self, z1, rho) -> np.ndarray:
         return np.abs(self.signed_value(np.asarray(z1, float), np.asarray(rho, float)))
+
+
+def _chord(c1: float, radius: float):
+    """The rho cap z1 -> sqrt(radius^2 - (z1 - c1)^2) of a ball centred at c1 e1, 0 off it."""
+
+    def cap(z1):
+        return np.sqrt(np.maximum(radius * radius - (np.asarray(z1, float) - c1) ** 2, 0.0))
+
+    return cap
 
 
 def _axial_signed(V: Potential):
@@ -692,23 +680,16 @@ def _axial_signed(V: Potential):
             d2 = (z1 - c1) ** 2 + rho * rho
             return np.where(d2 <= V.radius**2, V.amplitude, 0.0)
 
-        return (
-            fn,
-            c1 - V.radius,
-            c1 + V.radius,
-            (lambda z1: np.full_like(np.asarray(z1, float), V.radius)),
-            (c1 - V.radius, c1 + V.radius),
-        )
+        lo, hi = c1 - V.radius, c1 + V.radius
+        return fn, lo, hi, _chord(c1, V.radius), (lo, hi)
     if V.symmetry is Symmetry.RADIAL:
-        rfn, pts, _ = _radial_signed(V)
-        sup = V.support_radius()
+        prof = radial_profile(V)
 
-        def fn(z1, rho, rfn=rfn):
+        def fn(z1, rho, rfn=prof.signed_value):
             return rfn(np.sqrt(z1 * z1 + rho * rho))
 
-        return fn, -sup, sup, (lambda z1: np.full_like(np.asarray(z1, float), sup)), tuple(
-            b for p in pts for b in (-p, p)
-        )
+        sup, pts = prof.support, prof.breakpoints
+        return fn, -sup, sup, _chord(0.0, sup), tuple(b for p in pts for b in (-p, p))
     if isinstance(V, Dilate):
         ifn, lo, hi, cap, pts = _axial_signed(V.inner)
         rt = math.sqrt(V.s)

@@ -151,6 +151,15 @@ def _potentials_from_cfg(cfg: dict) -> list[Potential]:
     return [parse_potential(s) if isinstance(s, (str, dict)) else s for s in specs]
 
 
+def _search_strategy(cfg: dict) -> SearchStrategy:
+    """The norm suites' sup search; defaults: grid density 4, 2 starts, 30 simplex steps."""
+    return SearchStrategy(
+        grid_density=int(cfg.get("grid_density", 4)),
+        multistarts=int(cfg.get("multistarts", 2)),
+        nm_max_iter=int(cfg.get("nm_max_iter", 30)),
+    )
+
+
 # ===========================================================================
 # suites
 # ===========================================================================
@@ -168,32 +177,31 @@ def _suite_est2(cfg: dict) -> tuple[list[Finding], bool, dict]:
     findings: list[Finding] = []
     all_ok = True
 
-    def cell(bc) -> tuple[list[Finding], bool]:
-        beta, c = bc
-        C = explicit_constant(beta, c, spec)
-        ratios = []
-        cap_excess = 0.0
-        sandwich_bad = 0
-        for a in grid:
-            for b in grid:
-                f = f_integral(a, b, beta, c, spec)
-                F = f_estimate(a, b, beta)
-                I = i_app(a, b, beta, c, spec)
-                ratios.append((f.value / F, {"a": float(a), "b": float(b)}))
-                cap_excess = max(cap_excess, f.value / (C.value * F) - 1.0)
-                slack = f.error_bound + 4.0 * I.error_bound + 1e-9 * f.value
-                if not (2.0 * I.value - slack <= f.value <= 4.0 * I.value + slack):
-                    sandwich_bad += 1
-        label = f"est2[beta={beta:g},c={c:g}]"
-        fnd, ok = _window_report(label, ratios, width_cap)
-        cap_ok = cap_excess <= 1e-6
-        fnd.append(Finding(f"{label}.upper_constant_excess", cap_excess, "<= 1e-6", cap_ok))
-        fnd.append(Finding(f"{label}.sandwich_violations", sandwich_bad, "== 0", sandwich_bad == 0))
-        return fnd, ok and cap_ok and sandwich_bad == 0
-
-    for fnd, ok in map(cell, [(b, c) for b in betas for c in cs]):
-        findings.extend(fnd)
-        all_ok = all_ok and ok
+    for beta in betas:
+        for c in cs:
+            C = explicit_constant(beta, c, spec)
+            ratios = []
+            cap_excess = 0.0
+            sandwich_bad = 0
+            for a in grid:
+                for b in grid:
+                    f = f_integral(a, b, beta, c, spec)
+                    F = f_estimate(a, b, beta)
+                    I = i_app(a, b, beta, c, spec)
+                    ratios.append((f.value / F, {"a": float(a), "b": float(b)}))
+                    cap_excess = max(cap_excess, f.value / (C.value * F) - 1.0)
+                    slack = f.error_bound + 4.0 * I.error_bound + 1e-9 * f.value
+                    if not (2.0 * I.value - slack <= f.value <= 4.0 * I.value + slack):
+                        sandwich_bad += 1
+            label = f"est2[beta={beta:g},c={c:g}]"
+            fnd, ok = _window_report(label, ratios, width_cap)
+            cap_ok = cap_excess <= 1e-6
+            findings.extend(fnd)
+            findings.append(Finding(f"{label}.upper_constant_excess", cap_excess, "<= 1e-6", cap_ok))
+            findings.append(
+                Finding(f"{label}.sandwich_violations", sandwich_bad, "== 0", sandwich_bad == 0)
+            )
+            all_ok = all_ok and ok and cap_ok and sandwich_bad == 0
     return findings, all_ok, {"betas": list(betas), "cs": list(cs), "grid_n": n}
 
 
@@ -259,29 +267,19 @@ def _suite_lu(cfg: dict) -> tuple[list[Finding], bool, dict]:
     sup_s = 0.0
     sup_j = 0.0
 
-    def one(job):
-        V_idx, t, p_idx = job
-        V = potentials[V_idx]
-        x, y = pairs[p_idx]
-        spec = BridgeSpec(t, tuple(x), tuple(y))
-        sv = s_functional(V, spec).value
-        nv = n_functional(V, spec).value
-        nv_half_t = n_functional(V, BridgeSpec(t / 2.0, tuple(x), tuple(y))).value
-        return V_idx, t, p_idx, sv, nv, nv_half_t
-
-    jobs = [
-        (vi, t, pi)
-        for vi in range(len(potentials))
-        for t in ts
-        for pi in range(samples)
-    ]
-    for vi, t, pi, sv, nv, nv2 in map(one, jobs):
-        tag = {"potential": vi, "t": t, "pair": pi}
-        if nv > 0 and sv > 0:
-            ratios_u.append((sv / nv, tag))
-        if nv2 > 0 and sv > 0:
-            ratios_l.append((sv / nv2, tag))
-        sup_s = max(sup_s, sv)
+    for vi, V in enumerate(potentials):
+        for t in ts:
+            for pi, (x, y) in enumerate(pairs):
+                spec = BridgeSpec(t, tuple(x), tuple(y))
+                sv = s_functional(V, spec).value
+                nv = n_functional(V, spec).value
+                nv2 = n_functional(V, BridgeSpec(t / 2.0, spec.x, spec.y)).value
+                tag = {"potential": vi, "t": t, "pair": pi}
+                if nv > 0 and sv > 0:
+                    ratios_u.append((sv / nv, tag))
+                if nv2 > 0 and sv > 0:
+                    ratios_l.append((sv / nv2, tag))
+                sup_s = max(sup_s, sv)
 
     for x, y in pairs:
         sup_j = max(sup_j, j_transform(potentials[0], x, y, d).value)
@@ -308,11 +306,7 @@ def _suite_lu(cfg: dict) -> tuple[list[Finding], bool, dict]:
 def _suite_main(cfg: dict) -> tuple[list[Finding], bool, dict]:
     d = as_dimension(int(cfg.get("d", 3)))
     potentials = _potentials_from_cfg(cfg)
-    strategy = SearchStrategy(
-        grid_density=int(cfg.get("grid_density", 4)),
-        multistarts=int(cfg.get("multistarts", 2)),
-        nm_max_iter=int(cfg.get("nm_max_iter", 30)),
-    )
+    strategy = _search_strategy(cfg)
     findings: list[Finding] = []
     ratios: list[tuple[float, dict]] = []
     all_ok = True
@@ -369,17 +363,14 @@ def _suite_d3(cfg: dict) -> tuple[list[Finding], bool, dict]:
     V = potentials[0]
     spec2 = QuadratureSpec(rel_tol=1e-6, max_subdivisions=4000)
 
-    def dom(job):
-        x, y = job
+    for _ in range(n_dom):
+        x = rng.standard_normal(3) * 1.5
+        y = rng.standard_normal(3) * 1.5
         kxy = k_transform(V, x, y, 3, spec2)
         kx0 = k_transform(V, x, np.zeros(3), 3)
-        slack = 1e-6 * kx0.value + 3.0 * (kxy.error_bound + kx0.error_bound)
-        return kxy.value - kx0.value, slack
-
-    jobs = [(rng.standard_normal(3) * 1.5, rng.standard_normal(3) * 1.5) for _ in range(n_dom)]
-    for margin, slack in map(dom, jobs):
+        margin = kxy.value - kx0.value
         worst_margin = max(worst_margin, margin)
-        if margin > slack:
+        if margin > 1e-6 * kx0.value + 3.0 * (kxy.error_bound + kx0.error_bound):
             dom_bad += 1
     findings.append(Finding("d3.domination_violations", dom_bad, "== 0", dom_bad == 0))
     findings.append(
@@ -404,11 +395,7 @@ def _suite_prop14(cfg: dict) -> tuple[list[Finding], bool, dict]:
             ),
         )
     ]
-    strategy = SearchStrategy(
-        grid_density=int(cfg.get("grid_density", 4)),
-        multistarts=int(cfg.get("multistarts", 2)),
-        nm_max_iter=int(cfg.get("nm_max_iter", 30)),
-    )
+    strategy = _search_strategy(cfg)
     kap = kappa(d)
     cd_inv = 1.0 / newton_constant(d)
     findings: list[Finding] = [
@@ -597,7 +584,8 @@ def _suite_dilation(cfg: dict) -> tuple[list[Finding], bool, dict]:
     rng = _rng(seed)
     q2 = QuadratureSpec(rel_tol=1e-6, max_subdivisions=4000)
 
-    def one(_):
+    rels_k, rels_n = [], []
+    for _ in range(samples):
         s = float(np.exp(rng.uniform(-1.5, 1.5)))
         x = rng.standard_normal(d)
         y = rng.standard_normal(d)
@@ -607,13 +595,9 @@ def _suite_dilation(cfg: dict) -> tuple[list[Finding], bool, dict]:
         k2 = k_transform(V, rs * x, y / rs, d, q2)
         n1 = newton_potential(Vs, x, d)
         n2 = newton_potential(V, rs * x, d)
-        rel_k = abs(k1.value - k2.value) / max(abs(k2.value), 1e-300)
-        rel_n = abs(n1.value - n2.value) / max(abs(n2.value), 1e-300)
-        return rel_k, rel_n
-
-    rels = [one(i) for i in range(samples)]
-    worst_k = max(r[0] for r in rels)
-    worst_n = max(r[1] for r in rels)
+        rels_k.append(abs(k1.value - k2.value) / max(abs(k2.value), 1e-300))
+        rels_n.append(abs(n1.value - n2.value) / max(abs(n2.value), 1e-300))
+    worst_k, worst_n = max(rels_k), max(rels_n)
     k_ok = worst_k <= 1e-6
     n_ok = worst_n <= 1e-6
     findings = [

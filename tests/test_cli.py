@@ -70,13 +70,13 @@ def test_transform_commands():
 
 @pytest.mark.parametrize("which", ["k", "jt"])
 def test_transform_k_and_jt_honour_quadrature_flags(which):
-    # the off-centre ball's curved edge needs many 2D subdivisions
+    # at 1e-10 the off-centre ball needs more than one 2D subdivision
     ball = '{"type":"ball","center":[0.5,0,0],"radius":1.0,"amplitude":-1.0}'
-    probe = ("transform", which, "--potential", ball, "--x", "2,0,0", "--y", "1,0,0", "--rel-tol", "1e-3")
+    probe = ("transform", which, "--potential", ball, "--x", "2,0,0", "--y", "1,0,0", "--rel-tol", "1e-10")
     code, out, _ = run_cli(*probe)
     rec = json.loads(out)
     assert code == 0 and rec["status"] == "converged"
-    assert rec["error"] <= 1e-3 * abs(rec["value"])
+    assert rec["error"] <= 1e-10 * abs(rec["value"])
     code, out, err = run_cli(*probe, "--max-subdivisions", "1")
     assert code == 1 and out == "" and "max_subdivisions_reached" in err
 
@@ -225,3 +225,15 @@ def test_cli_determinism_subprocess():
     b = subprocess.run(cmd, capture_output=True)
     assert a.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_simulate_ratio_of_a_negated_negative_power():
+    # V = r^-1 on [0.2, 2] has a bounded positive part; its bound used to
+    # recurse until RecursionError
+    V = ('{"type":"scale","factor":-1.0,"inner":{"type":"radial_power","exponent":-1.0,'
+         '"inner_radius":0.2,"outer_radius":2.0,"amplitude":-1.0}}')
+    code, out, _ = run_cli(
+        "simulate", "ratio", "--potential", V, "--t", "1", "--x", "0,0,0", "--y", "1,0,0",
+        "--paths", "200", "--steps", "16", "--seed", "3",
+    )
+    assert code == 0 and math.isfinite(json.loads(out)["value"])

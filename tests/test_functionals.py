@@ -8,7 +8,7 @@ from scipy import special as sps
 
 from bridgepot import functionals, potentials
 
-from bridgepot.errors import GeometryError
+from bridgepot.errors import DimensionError, GeometryError
 from bridgepot.functionals import (
     AxisSpec,
     BridgeSpec,
@@ -153,6 +153,48 @@ def test_k_alpha_kink_past_pi_is_seeded():
     )
     assert est.converged
     assert est.value == pytest.approx(2.0 * half, rel=1e-6)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+def test_k_off_centre_ball_on_the_axis(rel_tol):
+    # the axial route caps rho at the chord sqrt(r^2 - (z1 - c1)^2); under a
+    # constant cap r the ball's curved edge cut through the 2D boxes, and the
+    # default budget ran out at 1e-6
+    V = BallIndicator((0.5, 0.0, 0.0), 1.0, -1.0)
+    x, y = np.array([2.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])
+    est = k_transform(V, x, y, 3, dataclasses.replace(functionals.DEFAULT_SPEC_2D, rel_tol=rel_tol))
+
+    # scipy reference in spherical coordinates about the ball's centre; at
+    # d = 3, k0(w, y) = exp(-(|w||y| - w.y)/2) / |w|, and x lies outside the ball
+    def shell(theta, r):
+        w = np.array([0.5 + r * math.cos(theta), r * math.sin(theta), 0.0]) - x
+        nw = np.linalg.norm(w)
+        return 2.0 * math.pi * r * r * math.sin(theta) * math.exp(-0.5 * (nw - w @ y)) / nw
+
+    ref, _ = spi.dblquad(shell, 0.0, 1.0, 0.0, math.pi, epsabs=0.0, epsrel=1e-12)
+    assert est.converged
+    assert est.value == pytest.approx(ref, rel=10.0 * rel_tol)
+
+
+_TRANSFORMS = {
+    "k": lambda V, x, y, d: k_transform(V, x, y, d),
+    "newton": lambda V, x, y, d: newton_potential(V, x, d),
+    "j": lambda V, x, y, d: j_transform(V, x, y, d),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRANSFORMS))
+@pytest.mark.parametrize(
+    "V, x, y",
+    [
+        (BALL, [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]),  # three coordinates at d = 4
+        (BallIndicator((0.0,) * 3, 1.0, -1.0), [0.5, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+    ],
+    ids=["short-points", "centre-pins-d3"],
+)
+def test_transforms_check_dimensions(name, V, x, y):
+    with pytest.raises(DimensionError):
+        _TRANSFORMS[name](V, x, y, 4)
 
 
 def _starve_inner(monkeypatch, module) -> dict:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgepot.errors import BridgepotError, DimensionError
 from bridgepot.potentials import (
@@ -225,3 +227,96 @@ def test_lp_norm_unbounded_tail_convergent():
     assert math.isfinite(est.value)
     oracle = (2 * math.pi**2 / 2.0) ** 0.5  # (area * int_1^inf r^-6 r^3)^(1/2)
     assert est.value == pytest.approx(oracle, rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# value ranges and the bound on V^+
+# ---------------------------------------------------------------------------
+
+
+def test_bound_above_of_a_negated_negative_power():
+    # V = r^-1 on [0.2, 2]; this used to recurse until RecursionError
+    assert Scale(-1.0, RadialPower(-1.0, 0.2, 2.0, -1.0)).bound_above() == 5.0
+
+
+def test_bound_above_of_a_negated_negative_ball():
+    # V = 2 on the unit ball; this used to return -2
+    assert Scale(-2.0, BALL).bound_above() == 2.0
+
+
+def test_radial_power_at_the_origin():
+    # amplitude * |z|^exponent is 0 at z = 0 for exponent > 0 and the amplitude at 0
+    for exponent, want in ((2.0, 0.0), (0.0, 3.0)):
+        V = RadialPower(exponent, 0.0, 1.0, 3.0)
+        assert evaluate(V, [0.0, 0.0, 0.0]) == want
+        assert radial_profile(V).abs_value(np.array([0.0]))[0] == want
+
+
+@st.composite
+def radial_powers(draw):
+    exponent = draw(st.floats(-2.0, 2.0))
+    inner = draw(st.floats(0.05 if exponent < 0 else 0.0, 2.0))
+    outer = draw(st.just(math.inf) | st.floats(inner + 0.1, inner + 5.0))
+    return RadialPower(exponent, inner, outer, draw(st.floats(-3.0, 3.0)))
+
+
+def potential_trees(d: int):
+    """Random trees of every form; ball centres, when given, have d coordinates."""
+    centres = st.none() | st.tuples(*[st.floats(-2.0, 2.0)] * d)
+    leaves = st.one_of(
+        st.builds(Constant, st.floats(-3.0, 3.0)),
+        st.builds(BallIndicator, centres, st.floats(0.1, 3.0), st.floats(-3.0, 3.0)),
+        radial_powers(),
+        st.builds(CounterexampleA, st.none() | st.floats(4.5, 50.0)),
+    )
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.builds(Dilate, st.floats(0.1, 10.0), kids),
+            st.builds(Scale, st.floats(-3.0, 3.0), kids),
+            st.builds(lambda terms: Sum(tuple(terms)), st.lists(kids, min_size=1, max_size=3)),
+        ),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def trees_and_points(draw):
+    d = draw(st.sampled_from([3, 4]))
+    coord = st.floats(-3.0, 3.0) | st.floats(-60.0, 60.0)
+    points = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=20))
+    return draw(potential_trees(d)), np.array(points)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(trees_and_points())
+def test_bound_above_bounds_every_value(case):
+    V, Z = case
+    lo, hi = V.value_range()
+    vals = evaluate_many(V, Z)
+    bound = V.bound_above()
+    assert bound == max(hi, 0.0)
+    # slack for the rounding of r**exponent, which numpy and libm may round apart
+    slack = 1e-12 * (1.0 + abs(bound) + abs(lo))
+    assert max(vals.max(), 0.0) <= bound + slack
+    assert vals.min() >= lo - slack
+
+
+# ---------------------------------------------------------------------------
+# exact axial cross-sections
+# ---------------------------------------------------------------------------
+
+
+def test_axial_rho_cap_is_the_chord_of_an_off_centre_ball():
+    prof = axial_profile(BallIndicator((3.0, 0.0, 0.0), 0.5, -1.0))
+    z1 = np.array([2.4, 2.5, 2.8, 3.0, 3.5, 3.6])
+    assert np.allclose(prof.rho_cap(z1), np.sqrt(np.maximum(0.25 - (z1 - 3.0) ** 2, 0.0)))
+
+
+def test_lp_norm_of_two_balls_on_the_axis():
+    # the second ball is off the origin: the axial route integrates its chord
+    V = Sum((BallIndicator((0.0,) * 4, 1.0, -1.0), BallIndicator((3.0, 0.0, 0.0, 0.0), 0.5, -1.0)))
+    est = lp_halfd_norm(V, 4)
+    closed = (math.pi**2 / 2.0 * (1.0 + 0.5**4)) ** 0.5  # (|B_1| + |B_1/2|)^(2/d) at d = 4
+    assert est.converged
+    assert est.value == pytest.approx(closed, rel=1e-9)
