@@ -95,11 +95,12 @@ def _floatify(obj):
     return obj
 
 
-def _emit(record: dict, fmt: str, csv_fields: tuple[str, ...] = ("value", "error", "status")) -> None:
+def _emit(record: dict, fmt: str) -> None:
     record = _floatify(record)
     if fmt == "csv":
-        header = ",".join(csv_fields)
-        row = ",".join(str(record.get(k, "")) for k in csv_fields)
+        fields = ("value", "error", "status")
+        header = ",".join(fields)
+        row = ",".join(str(record.get(k, "")) for k in fields)
         sys.stdout.write(header + "\n" + row + "\n")
     else:
         sys.stdout.write(json.dumps(record) + "\n")

@@ -16,10 +16,12 @@ Every transform checks its probes and V's pinned dimension in one place
 (``_probe_args``) and integrates a sign-uniform Sum term by term.  The
 radial routes take |V| as power cells from ``RadialProfile.kernel_cells``
 (which rejects overlapping cells of both signs) and share one integral over
-the polar radius s (``_s_integral``).
+the polar radius s (``_s_integral``); pointwise |V| comes from the
+potential's own values (``RadialProfile.abs_value``).
 
 The bridge functionals integrate Gaussian averages of |V| in time; for
-d = 3 the radial Gaussian mean has an elementary closed form.  For
+d = 3 the radial Gaussian mean of a smooth profile integrates |V| against
+the elementary density of |Z|, all probes in one lockstep call.  For
 piecewise-constant radial profiles it is a sum of ball overlaps, which at
 d = 3 are elementary and at other d are the noncentral chi-squared CDF,
 conditioned exactly on the transverse chi-squared law at small variance.
@@ -212,9 +214,8 @@ def _radial_isotropic_transform(
     nx: float,
     d: int,
     q: QuadratureSpec,
-    radial_kernel_log: Callable[[np.ndarray], np.ndarray],
 ) -> Estimate:
-    """integral of |V|(z) k(|z - x|) dz for radial V and an isotropic kernel.
+    """integral of |V|(z) |z - x|^{2-d} dz for radial V: K at y = 0.
 
     The angular integral is the exact shell-cap mass of each radial cell,
     so only a 1D adaptive integral over the polar radius s remains.  This
@@ -235,7 +236,7 @@ def _radial_isotropic_transform(
         for lo, hi, amp, expo in cells:
             mass += _azimuthal_cell_mass(A, B, lo, hi, amp, expo, m)
         with np.errstate(divide="ignore"):
-            logk = radial_kernel_log(s) + (d - 1.0) * np.log(s)
+            logk = (2.0 - d) * np.log(s) + (d - 1.0) * np.log(s)
         out = np.zeros_like(s)
         good = mass > 0.0
         out[good] = mass[good] * np.exp(np.maximum(logk[good], -745.0))
@@ -276,13 +277,11 @@ def _k_like_radial_transform(
     y,
     d: int,
     q: QuadratureSpec,
-    kernel_log: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    ny: float,
 ) -> Estimate:
-    """integral of |V|(z) kernel(z - x) dz for radial V and an anisotropic kernel.
+    """integral of |V|(z) k0(z - x, y) dz for radial V and y != 0.
 
-    kernel_log(s, one_minus_cos) is the log of the kernel as a function of
-    the polar radius s = |z - x| and the angle alpha to the kernel axis y^.
+    The log of the kernel is a function of the polar radius s = |z - x| and
+    the angle alpha to the kernel axis y^.
     The alpha integral (with the azimuthal cell mass folded in) is done
     adaptively per s node with the cell-window transition angles, which
     satisfy cos(alpha +- theta) = (r^2 - s^2 - |x|^2) / (2 s |x|), seeded
@@ -295,6 +294,7 @@ def _k_like_radial_transform(
     xv = np.asarray(x, dtype=float).reshape(-1)
     yv = np.asarray(y, dtype=float).reshape(-1)
     nx = float(np.linalg.norm(xv))
+    ny = float(np.linalg.norm(yv))
     axis = yv / ny
     if nx > 0.0:
         ct = min(1.0, max(-1.0, float(np.dot(xv, axis) / nx)))
@@ -321,7 +321,7 @@ def _k_like_radial_transform(
         mass = np.zeros_like(alpha)
         for lo, hi, amp, expo in cells:
             mass += _azimuthal_cell_mass(A, B, lo, hi, amp, expo, m)
-        logk = kernel_log(s, omc)
+        logk = -0.5 * s * ny * omc + (2.0 - d) * np.log(s) + 0.5 * (d - 3.0) * np.log1p(s * ny)
         out = np.zeros_like(alpha)
         good = mass > 0.0
         out[good] = (
@@ -504,18 +504,8 @@ def k_transform(
                 max_subdivisions=max(q.max_subdivisions, DEFAULT_SPEC_1D.max_subdivisions),
                 infinite_map=q.infinite_map,
             )
-            return _radial_isotropic_transform(
-                V, nx, d, q1, lambda s: (2.0 - d) * np.log(s)
-            )
-
-        def kernel_log(s: np.ndarray, omc: np.ndarray) -> np.ndarray:
-            return (
-                -0.5 * s * ny * omc
-                + (2.0 - d) * np.log(s)
-                + 0.5 * (d - 3.0) * np.log1p(s * ny)
-            )
-
-        return _k_like_radial_transform(V, xv, yv, d, q, kernel_log, ny)
+            return _radial_isotropic_transform(V, nx, d, q1)
+        return _k_like_radial_transform(V, xv, yv, d, q)
 
     if V.symmetry is Symmetry.AXIAL and _on_axis(xv) and _on_axis(yv):
         return _axial_transform(V, float(xv[0]), float(yv[0]), d, q, kernel="k0")
@@ -724,18 +714,21 @@ def _transverse_rule(d: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _q3_density(s: np.ndarray, mu: float, sigma: float) -> np.ndarray:
-    """Radial density of |Z|, Z ~ N(m, sigma^2 I_3), |m| = mu (stable sinh form)."""
-    s = np.asarray(s, dtype=float)
-    if mu < 1e-12 * sigma:
-        return (
-            math.sqrt(2.0 / math.pi) * s * s / sigma**3 * np.exp(-0.5 * (s / sigma) ** 2)
-        )
-    arg = s * mu / sigma**2
+def _q3_density(s: np.ndarray, mu, sigma, sigma2, sigma3) -> np.ndarray:
+    """Radial density of |Z|, Z ~ N(m, sigma^2 I_3), |m| = mu (stable sinh form).
+
+    Elementwise in (s, mu, sigma); sigma2 and sigma3 are sigma**2 and
+    sigma**3.  mu below 1e-12 sigma takes the centred (chi, 3 dof) density.
+    """
+    centred = mu < 1e-12 * sigma
+    mu = np.where(centred, 1.0, mu)
+    arg = s * mu / sigma2
     with np.errstate(over="ignore"):
-        core = np.exp(-0.5 * (s * s + mu * mu) / sigma**2 + np.abs(arg))
+        core = np.exp(-0.5 * (s * s + mu * mu) / sigma2 + np.abs(arg))
         sinh_scaled = 0.5 * (1.0 - np.exp(-2.0 * np.abs(arg)))
-    return s / (mu * sigma * math.sqrt(2.0 * math.pi)) * 2.0 * core * sinh_scaled
+    off = s / (mu * sigma * math.sqrt(2.0 * math.pi)) * 2.0 * core * sinh_scaled
+    on = math.sqrt(2.0 / math.pi) * s * s / sigma3 * np.exp(-0.5 * (s / sigma) ** 2)
+    return np.where(centred, on, off)
 
 
 def _radial_gaussian_mean(
@@ -759,27 +752,26 @@ def _radial_gaussian_mean(
     mu_flat = np.atleast_1d(mu).ravel()
     sg_flat = np.atleast_1d(np.broadcast_to(sigma, np.shape(mu))).ravel()
     out = np.zeros_like(mu_flat)
-    sup = prof.support if math.isfinite(prof.support) else None
     probes = []  # (index into out, lo, hi) of the means left to integrate
     for i, (m, sg) in enumerate(zip(mu_flat, sg_flat)):
         if sg <= 1e-150 * (m + 1.0):
             # deterministic limit: the Gaussian mean collapses to a point value
-            out[i] = float(prof.abs_value(np.asarray([m]))[0])
+            out[i] = prof.abs_value(m)
             continue
-        hi = sup if sup is not None else m + 10.0 * sg
-        hi = min(hi, m + 10.0 * sg)
+        hi = min(prof.support, m + 10.0 * sg)
         lo = max(0.0, m - 10.0 * sg)
         if hi > lo:
             probes.append((i, lo, hi))
 
-    def integrand(owner: np.ndarray, s: np.ndarray) -> np.ndarray:
-        # the density takes one (mu, sigma) at a time
-        vals = np.empty_like(s)
-        for k in np.unique(owner):
-            sel = owner == k
-            i = probes[k][0]
-            vals[sel] = prof.abs_value(s[sel]) * _q3_density(s[sel], mu_flat[i], sg_flat[i])
-        return vals
+    idx = [i for i, _, _ in probes]
+    mus, sgs = mu_flat[idx], sg_flat[idx]
+    # sigma**2 and sigma**3 once per probe: a scalar ** is libm's pow, which
+    # numpy's array power may round apart
+    sg2s = np.array([v**2 for v in sgs])
+    sg3s = np.array([v**3 for v in sgs])
+
+    def integrand(i: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return prof.abs_value(s) * _q3_density(s, mus[i], sgs[i], sg2s[i], sg3s[i])
 
     ests = integrate_finite(
         integrand,
@@ -983,7 +975,6 @@ def sup_search(
     objective: Callable[[np.ndarray], float],
     domain: Sequence[AxisSpec],
     strategy: SearchStrategy = SearchStrategy(),
-    extra_probes: Sequence[Sequence[float]] = (),
 ) -> SupResult:
     """Coarse product grid plus multistart downhill-simplex refinement.
 
@@ -995,8 +986,6 @@ def sup_search(
     grids = [ax.grid(strategy.grid_density) for ax in axes]
     mesh = np.meshgrid(*grids, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
-    if len(extra_probes):
-        points = np.vstack([points, np.asarray(extra_probes, dtype=float)])
 
     evals = 0
     best_val = -math.inf
@@ -1119,7 +1108,6 @@ def k_norm(
     q: QuadratureSpec = DEFAULT_SPEC_2D,
     strategy: SearchStrategy = SearchStrategy(grid_density=5),
     ladder: Sequence[float] | None = None,
-    probe: tuple | None = None,
 ) -> NormReport:
     """Probed sup of K(V, x, y), with a growth diagnosis when warranted.
 
@@ -1161,11 +1149,7 @@ def k_norm(
     value = sup.value
     status = Status.CONVERGED
     if sup.boundary_hit or not V.is_compact:
-        if probe is None:
-            px, py = _probe_pair(d, 0.0, 1.0, 1.0)
-        else:
-            px = np.asarray(probe[0], dtype=float)
-            py = np.asarray(probe[1], dtype=float)
+        px, py = _probe_pair(d, 0.0, 1.0, 1.0)
         def truncated(R: float) -> float:
             return k_transform(truncate_potential(V, R), px, py, d, q).value
 
@@ -1183,7 +1167,6 @@ def newton_norm(
     d,
     q: QuadratureSpec = DEFAULT_SPEC_1D,
     strategy: SearchStrategy = SearchStrategy(),
-    grid: Sequence[float] | None = None,
 ) -> NormReport:
     """Probed sup over x of the Newton potential of |V|."""
     d = as_dimension(d)
@@ -1197,8 +1180,7 @@ def newton_norm(
     if V.symmetry is Symmetry.RADIAL:
         domain = [AxisSpec("r_x", 1e-3, 1e4, "log", include_zero=True)]
     else:
-        lo, hi = (4.0, 1e6) if grid is None else (grid[0], grid[-1])
-        domain = [AxisSpec("x1", lo, hi, "log")]
+        domain = [AxisSpec("x1", 4.0, 1e6, "log")]
     sup = sup_search(objective, domain, strategy)
     status = Status.CONVERGED
     return NormReport(Estimate(sup.value, abs(sup.value) * 1e-3, status), sup, None)

@@ -80,15 +80,13 @@ def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 def growth_diagnosis(
     truncated: Callable[[float], object],
     radii: Sequence[float],
-    abs_tol: float = 0.0,
     rel_tol: float = 0.02,
 ) -> GrowthDiagnosis:
     """Diagnose convergence of radius -> truncated-integral values.
 
     ``truncated`` maps a radius to either an Estimate or a plain float.
     Radii must be strictly increasing with at least 4 entries.  Convergence
-    requires the last two increments to shrink below
-    max(abs_tol, rel_tol * |last value|).
+    requires the last two increments to shrink below rel_tol * |last value|.
     """
     radii = tuple(float(r) for r in radii)
     if len(radii) < 4:
@@ -120,7 +118,7 @@ def growth_diagnosis(
     model, slope, r2 = max(growing or candidates, key=lambda cand: cand[2])
 
     increments = np.abs(deltas)
-    tol = max(abs_tol, rel_tol * abs(v[-1]))
+    tol = rel_tol * abs(v[-1])
     tail_settled = increments.size >= 2 and increments[-1] <= tol and increments[-2] <= tol
 
     if tail_settled:

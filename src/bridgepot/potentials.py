@@ -17,8 +17,10 @@ sign class, support and ``value_range()`` metadata (an interval holding
 every value; ``bound_above()`` = max(hi, 0)); the transform modules use the
 symmetry tag to pick a dimension-reduced quadrature, and take |V| as the
 cells of ``RadialProfile.kernel_cells()`` or in (z1, rho) up to each
-on-axis ball's exact chord.  All potentials are immutable and evaluation
-is pure.
+on-axis ball's exact chord.  A radial |V| is the form's own ``_values`` at
+r e1 (the cells give only its pieces); the axial forms keep (z1, rho)
+closures, cheaper on the many small calls of the axial ladders.  All
+potentials are immutable and evaluation is pure.
 
 The JSON wire format round-trips exactly::
 
@@ -542,21 +544,24 @@ def _from_obj(obj: dict) -> Potential:
 class RadialProfile:
     """Radial reduction |V|(r) with its piece structure.
 
-    ``constant_cells`` is a partition into (lo, hi, value) cells when |V| is
-    piecewise constant, else None; the cells enable closed-form Gaussian
-    overlaps in the bridge functionals.  ``cells`` are the signed
-    (lo, hi, amplitude, exponent) pieces of V, amplitude * r^exponent on
-    [lo, hi], which may overlap.
+    |V|(r) is read from V's own ``_values`` at the points r e1
+    (``abs_value``), so each form states its values in one place.
+    ``cells`` are the signed (lo, hi, amplitude, exponent) pieces of V,
+    amplitude * r^exponent on [lo, hi], which may overlap; they give the
+    breakpoints, the kernel cells and, when |V| is piecewise constant, the
+    partition ``constant_cells`` into (lo, hi, value) cells that enables
+    closed-form Gaussian overlaps in the bridge functionals.
     """
 
-    signed_value: callable
+    potential: Potential
+    width: int  # coordinates of the points r e1: V's pinned dimension, else 1
     breakpoints: tuple[float, ...]
     support: float
     constant_cells: tuple[tuple[float, float, float], ...] | None
     cells: tuple[tuple[float, float, float, float], ...]
 
     def abs_value(self, r) -> np.ndarray:
-        return np.abs(self.signed_value(np.asarray(r, dtype=float)))
+        return np.abs(_axis_values(self.potential, r, self.width))
 
     def kernel_cells(self) -> list[tuple[float, float, float, float]]:
         """|V| as (lo, hi, amplitude, exponent) cells whose |amplitude|s add up.
@@ -572,46 +577,30 @@ class RadialProfile:
         return list(self.cells)
 
 
-def _radial_signed(V: Potential):
-    """(callable r -> value, signed (lo, hi, amplitude, exponent) cells)."""
+def _axis_values(V: Potential, r, width: int) -> np.ndarray:
+    """V at the points r e1 of R^width, shaped like r."""
+    r = np.asarray(r, dtype=float)
+    Z = np.zeros((r.size, width), order="F")  # r fills one contiguous column
+    Z[:, 0] = r.reshape(-1)
+    return V._values(Z).reshape(r.shape)
+
+
+def _radial_cells(V: Potential) -> list[tuple[float, float, float, float]]:
+    """The signed (lo, hi, amplitude, exponent) cells of a radial V."""
     if isinstance(V, Constant):
-        return (lambda r: np.full_like(r, V.value)), [(0.0, math.inf, V.value, 0.0)]
+        return [(0.0, math.inf, V.value, 0.0)]
     if isinstance(V, BallIndicator) and V.symmetry is Symmetry.RADIAL:
-        def fn(r, V=V):
-            return np.where(r <= V.radius, V.amplitude, 0.0)
-        return fn, [(0.0, V.radius, V.amplitude, 0.0)]
+        return [(0.0, V.radius, V.amplitude, 0.0)]
     if isinstance(V, RadialPower):
-        def fn(r, V=V):
-            inside = (r >= V.inner_radius) & (r <= V.outer_radius)
-            # r = 0 is inside only when exponent >= 0, and its value is 0^exponent
-            safe = np.where(r > 0, r, 0.0 if V.exponent >= 0 else 1.0)
-            return np.where(inside, V.amplitude * safe**V.exponent, 0.0)
-        return fn, [(V.inner_radius, V.outer_radius, V.amplitude, V.exponent)]
+        return [(V.inner_radius, V.outer_radius, V.amplitude, V.exponent)]
     if isinstance(V, Dilate):
-        inner_fn, cells = _radial_signed(V.inner)
         rt = math.sqrt(V.s)
-
-        def fn(r, inner_fn=inner_fn, s=V.s, rt=rt):
-            return s * inner_fn(rt * r)
-
-        return fn, [(lo / rt, hi / rt, V.s * amp * rt**expo, expo) for lo, hi, amp, expo in cells]
+        cells = _radial_cells(V.inner)
+        return [(lo / rt, hi / rt, V.s * amp * rt**expo, expo) for lo, hi, amp, expo in cells]
     if isinstance(V, Scale):
-        inner_fn, cells = _radial_signed(V.inner)
-
-        def fn(r, inner_fn=inner_fn, f=V.factor):
-            return f * inner_fn(r)
-
-        return fn, [(lo, hi, V.factor * amp, expo) for lo, hi, amp, expo in cells]
+        return [(lo, hi, V.factor * amp, expo) for lo, hi, amp, expo in _radial_cells(V.inner)]
     if isinstance(V, Sum) and V.symmetry is Symmetry.RADIAL:
-        parts = [_radial_signed(t) for t in V.terms]
-
-        def fn(r, parts=parts):
-            total = np.zeros_like(np.asarray(r, dtype=float))
-            for pfn, _ in parts:
-                total = total + pfn(r)
-            return total
-
-        return fn, [c for _, pcells in parts for c in pcells]
+        return [c for t in V.terms for c in _radial_cells(t)]
     raise BridgepotError(f"potential {type(V).__name__} has no radial reduction")
 
 
@@ -619,7 +608,7 @@ def radial_profile(V: Potential) -> RadialProfile:
     """Radial reduction of a radially symmetric potential."""
     if V.symmetry is not Symmetry.RADIAL:
         raise BridgepotError("radial_profile requires a radially symmetric potential")
-    fn, cells = _radial_signed(V)
+    cells = _radial_cells(V)
     support = V.support_radius()
     const_cells = None
     if all(expo == 0.0 for _, _, _, expo in cells):
@@ -632,7 +621,8 @@ def radial_profile(V: Potential) -> RadialProfile:
         if tail:
             merged.append((edges[-1], math.inf, abs(sum(c[2] for c in tail))))
         const_cells = tuple(merged)
-    return RadialProfile(fn, cell_edges(cells), support, const_cells, tuple(cells))
+    width = V.dimension_hint() or 1
+    return RadialProfile(V, width, cell_edges(cells), support, const_cells, tuple(cells))
 
 
 def cell_edges(cells) -> tuple[float, ...]:
@@ -642,16 +632,26 @@ def cell_edges(cells) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class AxialProfile:
-    """Axial reduction: |V| as a function of (z1, rho = |z2|)."""
+    """Axial reduction: |V| as a function of (z1, rho = |z2|).
+
+    ``rho_caps`` holds each term's cap z1 -> rho (an on-axis ball's chord);
+    |V| is zero above the largest, and may jump at the others.
+    """
 
     signed_value: callable  # (z1, rho) -> value, broadcasting
     z1_lo: float
     z1_hi: float
-    rho_cap: callable  # z1 -> max useful rho
+    rho_caps: tuple[callable, ...]
     breakpoints_z1: tuple[float, ...]
 
     def abs_value(self, z1, rho) -> np.ndarray:
         return np.abs(self.signed_value(np.asarray(z1, float), np.asarray(rho, float)))
+
+    def rho_cap(self, z1) -> np.ndarray:
+        """The largest useful rho at each z1."""
+        if len(self.rho_caps) == 1:
+            return self.rho_caps[0](z1)
+        return np.max(np.stack([cap(z1) for cap in self.rho_caps]), axis=0)
 
 
 def _chord(c1: float, radius: float):
@@ -664,6 +664,7 @@ def _chord(c1: float, radius: float):
 
 
 def _axial_signed(V: Potential):
+    """(signed (z1, rho) -> value, z1_lo, z1_hi, per-term rho caps, z1 breakpoints)."""
     if isinstance(V, CounterexampleA):
         hi = V.z1_max if V.z1_max is not None else math.inf
 
@@ -672,7 +673,7 @@ def _axial_signed(V: Potential):
             safe = np.where(z1 > 4.0, z1, 1.0)
             return np.where(inside, -1.0 / safe, 0.0)
 
-        return fn, 4.0, hi, (lambda z1: np.sqrt(np.maximum(z1, 0.0))), (4.0,)
+        return fn, 4.0, hi, ((lambda z1: np.sqrt(np.maximum(z1, 0.0))),), (4.0,)
     if isinstance(V, BallIndicator) and V.symmetry in (Symmetry.RADIAL, Symmetry.AXIAL):
         c1 = 0.0 if V.center is None else V.center[0]
 
@@ -681,32 +682,31 @@ def _axial_signed(V: Potential):
             return np.where(d2 <= V.radius**2, V.amplitude, 0.0)
 
         lo, hi = c1 - V.radius, c1 + V.radius
-        return fn, lo, hi, _chord(c1, V.radius), (lo, hi)
+        return fn, lo, hi, (_chord(c1, V.radius),), (lo, hi)
     if V.symmetry is Symmetry.RADIAL:
         prof = radial_profile(V)
 
-        def fn(z1, rho, rfn=prof.signed_value):
-            return rfn(np.sqrt(z1 * z1 + rho * rho))
+        def fn(z1, rho, width=prof.width):
+            return _axis_values(V, np.sqrt(z1 * z1 + rho * rho), width)
 
         sup, pts = prof.support, prof.breakpoints
-        return fn, -sup, sup, _chord(0.0, sup), tuple(b for p in pts for b in (-p, p))
+        return fn, -sup, sup, (_chord(0.0, sup),), tuple(b for p in pts for b in (-p, p))
     if isinstance(V, Dilate):
-        ifn, lo, hi, cap, pts = _axial_signed(V.inner)
+        ifn, lo, hi, caps, pts = _axial_signed(V.inner)
         rt = math.sqrt(V.s)
 
         def fn(z1, rho, ifn=ifn, s=V.s, rt=rt):
             return s * ifn(rt * z1, rt * rho)
 
-        return fn, lo / rt, hi / rt, (lambda z1, cap=cap, rt=rt: cap(rt * z1) / rt), tuple(
-            p / rt for p in pts
-        )
+        caps = tuple((lambda z1, cap=cap: cap(rt * z1) / rt) for cap in caps)
+        return fn, lo / rt, hi / rt, caps, tuple(p / rt for p in pts)
     if isinstance(V, Scale):
-        ifn, lo, hi, cap, pts = _axial_signed(V.inner)
+        ifn, lo, hi, caps, pts = _axial_signed(V.inner)
 
         def fn(z1, rho, ifn=ifn, f=V.factor):
             return f * ifn(z1, rho)
 
-        return fn, lo, hi, cap, pts
+        return fn, lo, hi, caps, pts
     if isinstance(V, Sum):
         parts = [_axial_signed(t) for t in V.terms]
 
@@ -716,14 +716,11 @@ def _axial_signed(V: Potential):
                 total = total + pfn(z1, rho)
             return total
 
-        def cap(z1, parts=parts):
-            caps = [c(z1) for _, _, _, c, _ in parts]
-            return np.max(np.stack(caps), axis=0)
-
         lo = min(p[1] for p in parts)
         hi = max(p[2] for p in parts)
+        caps = tuple(cap for p in parts for cap in p[3])
         pts = tuple(sorted({b for p in parts for b in p[4]}))
-        return fn, lo, hi, cap, pts
+        return fn, lo, hi, caps, pts
     raise BridgepotError(f"potential {type(V).__name__} has no axial reduction")
 
 
@@ -731,8 +728,8 @@ def axial_profile(V: Potential) -> AxialProfile:
     """Axial reduction of a potential symmetric about the e1 axis."""
     if V.symmetry is Symmetry.GENERAL:
         raise BridgepotError("axial_profile requires radial or axial symmetry")
-    fn, lo, hi, cap, pts = _axial_signed(V)
-    return AxialProfile(fn, lo, hi, cap, tuple(pts))
+    fn, lo, hi, caps, pts = _axial_signed(V)
+    return AxialProfile(fn, lo, hi, caps, tuple(pts))
 
 
 # --------------------------------------------------------------------------
@@ -791,14 +788,20 @@ def lp_halfd_norm(
 
             def outer(z1: np.ndarray) -> np.ndarray:
                 nonlocal inner_status
-                cap = prof.rho_cap(z1)
+                chords = np.stack([c(z1) for c in prof.rho_caps])
+                cap = chords.max(axis=0)
                 live = np.flatnonzero(cap > 0)
                 z_live = z1[live]
+                # |V| jumps in rho at every term's chord below the cap
+                breaks = [] if len(chords) == 1 else [
+                    [c for c in chords[:, i] if 0.0 < c < cap[i]] for i in live
+                ]
                 inner = integrate_finite(
                     lambda owner, rho: prof.abs_value(z_live[owner], rho) ** p * rho ** (d - 2),
                     [0.0] * live.size,
                     cap[live],
                     q,
+                    breaks,
                 )
                 out = np.zeros_like(z1)
                 for i, est in zip(live, inner):

@@ -286,20 +286,23 @@ def _suite_lu(cfg: dict) -> tuple[list[Finding], bool, dict]:
 
     fnd_u, ok_u = _window_report("lu.S_over_N_t", ratios_u, hi_cap / lo_cap)
     fnd_l, ok_l = _window_report("lu.S_over_N_half_t", ratios_l, hi_cap / lo_cap)
-    in_win_u = all(lo_cap < r < hi_cap for r, _ in ratios_u)
-    in_win_l = all(lo_cap < r < hi_cap for r, _ in ratios_l)
+    out_u = sum(not (lo_cap < r < hi_cap) for r, _ in ratios_u)
+    out_l = sum(not (lo_cap < r < hi_cap) for r, _ in ratios_l)
     m2_emp = max(r for r, _ in ratios_u)
     m1_emp = min(r for r, _ in ratios_l)
     findings.extend(fnd_u)
     findings.extend(fnd_l)
-    findings.append(Finding("lu.m2_empirical", m2_emp, "in (1e-2, 1e2)", in_win_u))
-    findings.append(Finding("lu.m1_empirical", m1_emp, "in (1e-2, 1e2)", in_win_l))
+    findings.append(Finding("lu.m2_empirical", m2_emp, "in (1e-2, 1e2)", lo_cap < m2_emp < hi_cap))
+    findings.append(Finding("lu.m1_empirical", m1_emp, "in (1e-2, 1e2)", lo_cap < m1_emp < hi_cap))
+    # every ratio must lie in the window, not only the two reported above
+    findings.append(Finding("lu.S_over_N_t.outside_window", float(out_u), "== 0", out_u == 0))
+    findings.append(Finding("lu.S_over_N_half_t.outside_window", float(out_l), "== 0", out_l == 0))
     sup_ratio = sup_s / sup_j if sup_j > 0 else math.inf
     sup_ok = 1e-3 < sup_ratio < 1e3
     findings.append(
         Finding("lu.sup_S_over_sup_J(potential 0)", sup_ratio, "in (1e-3, 1e3)", sup_ok)
     )
-    all_ok = ok_u and ok_l and in_win_u and in_win_l and sup_ok
+    all_ok = ok_u and ok_l and out_u == 0 and out_l == 0 and sup_ok
     return findings, all_ok, {"d": d, "ts": list(ts), "samples": samples, "seed": seed}
 
 

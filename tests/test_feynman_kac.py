@@ -34,8 +34,11 @@ def test_bridge_endpoints_pinned():
 
 
 def test_bridge_midpoint_moments():
+    # n paths of 8 steps in one pass of the recurrence sample_bridge runs
     n = 100_000
-    mids = np.array([sample_bridge(SPEC, 8, _path_generator(3, i))[4] for i in range(n)])
+    paths = _path_generator(3, 0).standard_normal((7, n, 3))
+    fk._advance(np.tile(SPEC.x, (n, 1)), paths, 1, SPEC, 8)
+    mids = paths[3]
     # mean (x + y)/2 within 4 standard errors
     se = math.sqrt(0.5 / n)
     assert np.all(np.abs(mids.mean(axis=0) - [0.5, 0, 0]) <= 4 * se)

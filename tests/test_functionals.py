@@ -451,6 +451,41 @@ def test_s_smooth_profile_d3():
     assert est.converged and est.value > 0
 
 
+# (value, error bound, status) recorded before |V| was read through the
+# potential's own values; the smooth path must reproduce them bit for bit
+SMOOTH_PINS = {
+    ("s", 0): ("1.3694327196720535", "3.628151516607515e-10", "converged"),
+    ("n", 0): ("53.17155122754633", "1.7271364217926122e-08", "converged"),
+    ("s", 1): ("0.7995666981547663", "8.710466387344858e-10", "converged"),
+    ("n", 1): ("32.3502967243457", "3.7773453462045156e-08", "converged"),
+    ("newton", 3): ("0.6761152485219979", "2.4787279058658003e-11", "converged"),
+    ("lp", 3): ("5.08095328101621", "2.420255933133698e-11", "converged"),
+    ("newton", 4): ("0.279168338708502", "2.244674377202982e-12", "converged"),
+    ("lp", 4): ("4.5705437666575985", "1.6687883600742012e-11", "converged"),
+}
+
+
+def _pin(est):
+    return repr(float(est.value)), repr(float(est.error_bound)), est.status.value
+
+
+def test_smooth_profile_results_pinned():
+    # a centred bridge (the chi density) and an off-centre one, for the shell
+    specs = [
+        BridgeSpec(1.0, (0, 0, 0), (0, 0, 0)),
+        BridgeSpec(0.7, (0.3, 0.1, 0.0), (1.2, -0.4, 0.2)),
+    ]
+    got = {}
+    for k, spec in enumerate(specs):
+        got["s", k] = _pin(s_functional(POWER, spec))
+        got["n", k] = _pin(n_functional(POWER, spec))
+    dilated = dilate(RadialPower(0.7, 0.3, 1.5, -0.8), 2.5)
+    for d in (3, 4):
+        got["newton", d] = _pin(newton_potential(dilated, [0.9] + [0.0] * (d - 1), d))
+        got["lp", d] = _pin(lp_halfd_norm(dilated, d))
+    assert got == SMOOTH_PINS
+
+
 def test_bridge_functional_monotonicity():
     spec = BridgeSpec(1.0, (0, 0, 0), (1, 0, 0))
     small = BallIndicator(None, 1.0, -0.5)

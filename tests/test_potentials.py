@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bridgepot.errors import BridgepotError, DimensionError
@@ -302,6 +302,35 @@ def test_bound_above_bounds_every_value(case):
     assert vals.min() >= lo - slack
 
 
+@st.composite
+def radial_trees_and_radii(draw):
+    d = draw(st.sampled_from([3, 4]))
+    V = draw(potential_trees(d))
+    assume(V.symmetry is Symmetry.RADIAL)
+    r = draw(st.lists(st.floats(0.0, 3.0) | st.floats(0.0, 60.0), min_size=1, max_size=20))
+    return V, d, np.array(r)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(radial_trees_and_radii())
+def test_radial_cells_describe_the_values(case):
+    # the cells amp * r^exponent on [lo, hi] add up to V(r e1) off the cell edges
+    V, d, r = case
+    cells = radial_profile(V).cells
+    edges = np.array([e for c in cells for e in c[:2] if math.isfinite(e)])
+    if edges.size:
+        r = r[np.min(np.abs(r[:, None] - edges[None, :]), axis=1) > 1e-9 * (1.0 + r)]
+    assume(r.size)
+    Z = np.zeros((r.size, d))
+    Z[:, 0] = r
+    want = evaluate_many(V, Z)
+    terms = np.zeros((len(cells), r.size))
+    for k, (lo, hi, amp, expo) in enumerate(cells):
+        inside = (r >= lo) & (r <= hi)
+        terms[k, inside] = amp * r[inside] ** expo
+    assert np.all(np.abs(terms.sum(axis=0) - want) <= 1e-12 * np.abs(terms).sum(axis=0))
+
+
 # ---------------------------------------------------------------------------
 # exact axial cross-sections
 # ---------------------------------------------------------------------------
@@ -318,5 +347,15 @@ def test_lp_norm_of_two_balls_on_the_axis():
     V = Sum((BallIndicator((0.0,) * 4, 1.0, -1.0), BallIndicator((3.0, 0.0, 0.0, 0.0), 0.5, -1.0)))
     est = lp_halfd_norm(V, 4)
     closed = (math.pi**2 / 2.0 * (1.0 + 0.5**4)) ** 0.5  # (|B_1| + |B_1/2|)^(2/d) at d = 4
+    assert est.converged
+    assert est.value == pytest.approx(closed, rel=1e-9)
+
+
+def test_lp_norm_of_overlapping_balls_on_the_axis():
+    # the small ball sits inside the large one: |V| jumps at its chord in rho
+    V = Sum((BallIndicator((0.0,) * 4, 2.0, -1.0), BallIndicator((0.5, 0.0, 0.0, 0.0), 0.5, -1.0)))
+    est = lp_halfd_norm(V, 4)
+    # |V|^2 is 1 on the large ball and 4 on the small one: |B_2| + 3 |B_1/2|
+    closed = (math.pi**2 / 2.0 * (16.0 + 3.0 / 16.0)) ** 0.5
     assert est.converged
     assert est.value == pytest.approx(closed, rel=1e-9)

@@ -63,3 +63,16 @@ def test_gen_neg_findings_pinned():
         ("gen_neg.eta", "0.1025163052502577", "< 1", True),
         ("gen_neg.ratio_positive_V", "1.0519345759547991", "<= 1/(1-eta) = 1.114226", True),
     ]
+
+
+def test_lu_findings_report_the_gate_they_apply():
+    # at seed 0 two S/N(t) ratios fall below 1e-2; the largest, m2, does not
+    report = run_suite("lu", {"seed": 0})
+    found = {f.name: f for f in report.findings}
+    assert found["lu.m2_empirical"].passed and 1e-2 < found["lu.m2_empirical"].value < 1e2
+    assert found["lu.m1_empirical"].passed
+    outside = found["lu.S_over_N_t.outside_window"]
+    assert (outside.value, outside.passed) == (2.0, False)
+    assert found["lu.S_over_N_half_t.outside_window"].passed
+    assert not report.passed
+    assert run_suite("lu", {}).passed
