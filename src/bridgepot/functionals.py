@@ -962,7 +962,10 @@ class SearchStrategy:
 
 @dataclass(frozen=True)
 class SupResult:
-    """Best probed value (a certified lower bound on the supremum)."""
+    """Best probed value (a certified lower bound on the supremum).
+
+    evaluations counts the probes requested, repeats included.
+    """
 
     value: float
     arg: dict
@@ -981,19 +984,30 @@ def sup_search(
     The reported value is the maximum over every probed point; no claim of
     global optimality is made.  boundary_hit flags a coarse-grid argmax on
     the outer edge of a log axis, the cue for a growth diagnosis.
+
+    The objective must be a pure function of the point: the grid, every
+    simplex run and each run's closing re-evaluation share one memo, keyed
+    by the point's float64 bytes, that lives for this call only, so each
+    distinct point is computed once.  ``evaluations`` still counts every
+    probe requested.
     """
     axes = list(domain)
     grids = [ax.grid(strategy.grid_density) for ax in axes]
     mesh = np.meshgrid(*grids, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
 
+    memo: dict[bytes, float] = {}
     evals = 0
-    best_val = -math.inf
-    best_pt = points[0]
-    values = np.empty(points.shape[0])
-    for i, pt in enumerate(points):
-        values[i] = objective(pt)
+
+    def probe(pt: np.ndarray) -> float:
+        nonlocal evals
         evals += 1
+        key = pt.tobytes()
+        if key not in memo:
+            memo[key] = objective(pt)
+        return memo[key]
+
+    values = np.array([probe(pt) for pt in points], dtype=float)
     order = np.argsort(values)[::-1]
     best_idx = int(order[0])
     best_val = float(values[best_idx])
@@ -1034,29 +1048,21 @@ def sup_search(
                 out.append(min(max(math.exp(u[j]), ax.lo * 1e-3), ax.hi * 1e3))
             else:
                 out.append(min(max(u[j], ax.lo), ax.hi))
-        return np.asarray(out)
-
-    counter = [evals]
-
-    def neg(u: np.ndarray) -> float:
-        counter[0] += 1
-        return -objective(to_external(u))
+        return np.asarray(out, dtype=float)
 
     for start in starts:
         res = _scipy_optimize.minimize(
-            neg,
+            lambda u: -probe(to_external(u)),
             to_internal(start),
             method="Nelder-Mead",
             options={"maxiter": strategy.nm_max_iter, "xatol": 1e-6, "fatol": 1e-12},
         )
         cand_pt = to_external(res.x)
-        cand_val = float(objective(cand_pt))
-        counter[0] += 1
+        cand_val = float(probe(cand_pt))
         if cand_val > best_val:
             best_val = cand_val
             best_pt = cand_pt
         trace.append(f"simplex from {np.round(start, 6).tolist()}: {cand_val:.6g}")
-    evals = counter[0]
 
     arg = {ax.name: float(v) for ax, v in zip(axes, best_pt)}
     return SupResult(best_val, arg, evals, tuple(trace), boundary)
@@ -1150,8 +1156,8 @@ def k_norm(
     status = Status.CONVERGED
     if sup.boundary_hit or not V.is_compact:
         px, py = _probe_pair(d, 0.0, 1.0, 1.0)
-        def truncated(R: float) -> float:
-            return k_transform(truncate_potential(V, R), px, py, d, q).value
+        def truncated(R: float) -> Estimate:
+            return k_transform(truncate_potential(V, R), px, py, d, q)
 
         diagnosis = growth_diagnosis(truncated, ladder)
         if diagnosis.verdict is Verdict.DIVERGENT:
@@ -1235,8 +1241,12 @@ def build_compact_counterexample(
         raise BridgepotError("n_terms must be between 1 and 5 (float range)")
     x0, y0 = _probe_pair(d, 0.0, 1.0, 1.0)
 
+    norms: dict[float, float] = {}  # each term restarts from a radius already probed
+
     def probe_norm(R: float) -> float:
-        return k_transform(CounterexampleA(z1_max=R), x0, y0, d, q).value
+        if R not in norms:
+            norms[R] = k_transform(CounterexampleA(z1_max=R), x0, y0, d, q).value
+        return norms[R]
 
     terms = []
     probe_radii = []

@@ -16,7 +16,9 @@ geometric increment sequence.
 
 A positive slope with r^2 >= 0.99 under either model (and non-vanishing
 increments) is ruled divergent; tail increments settling below tolerance
-are ruled convergent; anything else is inconclusive.
+are ruled convergent; anything else is inconclusive.  A verdict is read
+only from converged truncations: one rung that is an unconverged Estimate
+makes it inconclusive.
 
 Where the truncation is an integration range, ``shell_sum`` makes each rung
 integrate only its new shell and add it to a running sum.
@@ -87,6 +89,8 @@ def growth_diagnosis(
     ``truncated`` maps a radius to either an Estimate or a plain float.
     Radii must be strictly increasing with at least 4 entries.  Convergence
     requires the last two increments to shrink below rel_tol * |last value|.
+    An infinite rung rules divergence outright; otherwise any rung that is
+    an Estimate short of CONVERGED makes the verdict INCONCLUSIVE.
     """
     radii = tuple(float(r) for r in radii)
     if len(radii) < 4:
@@ -121,7 +125,9 @@ def growth_diagnosis(
     tol = rel_tol * abs(v[-1])
     tail_settled = increments.size >= 2 and increments[-1] <= tol and increments[-2] <= tol
 
-    if tail_settled:
+    if any(isinstance(r, Estimate) and not r.converged for r in raw):
+        verdict = Verdict.INCONCLUSIVE
+    elif tail_settled:
         verdict = Verdict.CONVERGENT
     elif growing and increments[-1] > tol:
         verdict = Verdict.DIVERGENT

@@ -97,7 +97,8 @@ def test_norm_commands():
     rec = json.loads(out)
     assert code == 0
     assert rec["value"] == pytest.approx(0.5, rel=1e-6)
-    assert "sup" in rec and rec["sup"]["evaluations"] > 0
+    # the probes requested, repeats included; 66 also without the memo
+    assert rec["sup"]["evaluations"] == 66
     code, out, _ = run_cli("norm", "ldh", "--potential", BALL, "--d", "4")
     assert json.loads(out)["value"] == pytest.approx((math.pi**2 / 2) ** 0.5, rel=1e-9)
 

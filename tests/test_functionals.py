@@ -530,6 +530,42 @@ def test_sup_search_tracks_best():
     assert res.arg["u"] == pytest.approx(math.e, rel=1e-2)
 
 
+def test_sup_search_computes_each_distinct_point_once():
+    # a monotone objective walks both simplex runs into the clamp at hi * 1e3
+    computed = []
+
+    def objective(p):
+        computed.append(p.tobytes())
+        return math.log1p(p[0])
+
+    res = sup_search(
+        objective,
+        [AxisSpec("u", 1e-2, 1e2, "log", include_zero=True)],
+        SearchStrategy(grid_density=5, multistarts=2, nm_max_iter=40),
+    )
+    assert len(computed) == len(set(computed)) == 31
+    # the same result as computing all 162 requests
+    assert res.value == 11.51293546492023
+    assert res.arg == {"u": 100000.0}
+    assert res.evaluations == 162
+    assert res.strategy_trace == (
+        "grid: 6 points, best 4.61512",
+        "simplex from [100.0]: 11.5129",
+        "simplex from [10.0]: 11.5129",
+    )
+    assert res.boundary_hit
+
+
+def test_newton_norm_counterexample_pinned():
+    rep = newton_norm(CEX, 4, strategy=SearchStrategy(5, 1, 10))
+    assert repr(rep) == (
+        "NormReport(estimate=Estimate(value=0.5000000030043429, error_bound=0.0005000000030043429, "
+        "status=<Status.CONVERGED: 'converged'>), sup=SupResult(value=0.5000000030043429, "
+        "arg={'x1': 1000000000.0}, evaluations=31, strategy_trace=('grid: 5 points, best 0.5', "
+        "'simplex from [1000000.0]: 0.5'), boundary_hit=True), diagnosis=None)"
+    )
+
+
 def test_newton_norm_ball():
     rep = newton_norm(BALL, 3)
     assert rep.estimate.value == pytest.approx(0.5, rel=1e-8)
@@ -588,8 +624,18 @@ def test_k_truncation_log_divergence():
     assert diag.slope > 0 and diag.r_squared >= 0.99
 
 
-def test_compact_counterexample_construction():
+def test_compact_counterexample_construction(monkeypatch):
+    probed = []
+
+    def recording(V, *args):
+        probed.append(V.z1_max)
+        return k_transform(V, *args)
+
+    monkeypatch.setattr(functionals, "k_transform", recording)
     compact, probe_radii = build_compact_counterexample(2, 4)
+    monkeypatch.undo()
+    # each term restarts from the previous bisection's end: computed once
+    assert len(probed) == len(set(probed))
     assert compact.support_radius() <= 1.0 + 1e-12
     x0 = np.zeros(4)
     for n, rho in enumerate(probe_radii, start=1):

@@ -121,3 +121,18 @@ def test_kappa_ladder_verdicts_and_values(monkeypatch):
         _assert_ladder_matches(
             diag, lambda R: directional_shell_integral(D, beta, r_max=R).value
         )
+
+
+@pytest.mark.parametrize("stalled", [False, True])
+def test_growth_verdict_needs_every_rung_converged(stalled):
+    # clean power growth sqrt(R); one rung out of budget makes it inconclusive
+    radii = [10.0, 100.0, 1000.0, 10000.0]
+
+    def truncated(radius):
+        unfinished = stalled and radius == 1000.0
+        status = Status.MAX_SUBDIVISIONS_REACHED if unfinished else Status.CONVERGED
+        return Estimate(math.sqrt(radius), 1e-9, status)
+
+    diag = growth_diagnosis(truncated, radii)
+    assert diag.values == tuple(math.sqrt(r) for r in radii)
+    assert diag.verdict is (Verdict.INCONCLUSIVE if stalled else Verdict.DIVERGENT)
