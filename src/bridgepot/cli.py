@@ -267,7 +267,7 @@ def _cmd_transform(args) -> int:
         bridge = BridgeSpec(args.t, tuple(x), tuple(y))
         est = (n_functional if args.which == "n" else s_functional)(V, bridge, spec)
     elif args.which == "k":
-        est = k_transform(V, x, y, d, _spec_from_args(args, DEFAULT_SPEC_2D))
+        est = k_transform(V, x, y, d, _route_spec(args, DEFAULT_SPEC_2D))
     elif args.which == "jt":
         est = j_transform(V, x, y, d, _route_spec(args, DEFAULT_SPEC_2D))
     else:
@@ -293,7 +293,7 @@ def _cmd_norm(args) -> int:
         [float(r) for r in args.radii.split(",")] if args.radii else None
     )
     if args.which == "k":
-        rep = k_norm(V, d, _spec_from_args(args, DEFAULT_SPEC_2D), strategy=strategy, ladder=ladder)
+        rep = k_norm(V, d, _route_spec(args, DEFAULT_SPEC_2D), strategy=strategy, ladder=ladder)
     else:
         rep = newton_norm(V, d, _newton_spec(args, V), strategy=strategy)
     record = _estimate_record(

@@ -34,7 +34,6 @@ diagnosis of truncations, never from a single quadrature.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -56,6 +55,7 @@ from .potentials import (
     RadialPower,
     RadialProfile,
     Scale,
+    SignClass,
     Sum,
     Symmetry,
     axial_profile,
@@ -127,6 +127,11 @@ class BridgeSpec:
 
 
 _ZERO = Estimate(0.0, 0.0, Status.CONVERGED)
+
+
+def _fold(est: Estimate, inner: set[Status]) -> Estimate:
+    """est with the worst of its own status and those of its inner integrals."""
+    return Estimate(est.value, est.error_bound, worst_status(est.status, *inner))
 
 
 def _probe_args(V: Potential, d, *points) -> tuple:
@@ -348,28 +353,26 @@ def _k_like_radial_transform(
                 out.append(a)
         return out
 
-    inner_status = Status.CONVERGED
+    inner: set[Status] = set()
 
     def s_integrand(s_vec: np.ndarray) -> np.ndarray:
-        nonlocal inner_status
         s_vec = np.asarray(s_vec, dtype=float)
         out = np.zeros_like(s_vec)
         live = np.flatnonzero(s_vec > 0.0)
         s_live = s_vec[live]
-        inner = integrate_finite(
+        ests = integrate_finite(
             lambda owner, a: alpha_integrand(s_live[owner], a),
             [0.0] * live.size,
             [math.pi] * live.size,
             inner_spec,
             [alpha_kinks(s) for s in s_live],
         )
-        for i, s, est in zip(live, s_live, inner):
-            inner_status = worst_status(inner_status, est.status)
+        for i, s, est in zip(live, s_live, ests):
+            inner.add(est.status)
             out[i] = est.value * math.exp(min((d - 1.0) * math.log(s), 700.0))
         return out
 
-    est = _s_integral(s_integrand, nx, radii, prof.support, q)
-    return Estimate(est.value, est.error_bound, worst_status(est.status, inner_status)).scaled(area)
+    return _fold(_s_integral(s_integrand, nx, radii, prof.support, q), inner).scaled(area)
 
 
 # ===========================================================================
@@ -383,14 +386,15 @@ def _axial_transform(
     y1: float,
     d: int,
     q: QuadratureSpec,
-    kernel: str,
     z1_window: tuple[float, float] = (-math.inf, math.inf),
 ) -> Estimate:
-    """integral of |V| k(z - x, y) dz for axial V with x = x1 e1, y = y1 e1.
+    """integral of |V|(z) k0(z - x, y) dz for axial V with x = x1 e1, y = y1 e1.
 
-    kernel is "k0" or "newton".  Only z1 in ``z1_window`` (intersected with
-    the profile) is integrated.  The rho variable is normalized to the
-    profile cap (eta = rho / cap(z1)) so the domain is a rectangle.
+    At y1 = 0 the kernel k0 is the Newton kernel |z - x|^{2-d}, which this
+    evaluates directly.  Only z1 in ``z1_window`` (intersected with the
+    profile) is integrated.  The rho variable is normalized to the profile
+    cap (eta = rho / cap(z1)) so the domain is a rectangle; a wide positive
+    z1 range is integrated in w = log z1.
     """
     prof = axial_profile(V)
     z_lo = max(prof.z1_lo, z1_window[0])
@@ -413,10 +417,10 @@ def _axial_transform(
         r2 = dz * dz + rho[good] * rho[good]
         u = np.sqrt(r2)
         with np.errstate(divide="ignore"):
-            if kernel == "newton":
+            if y1 == 0.0:
                 logk = (2.0 - d) * np.log(u)
             else:
-                w = math.copysign(1.0, y1) * dz if y1 != 0.0 else np.zeros_like(dz)
+                w = math.copysign(1.0, y1) * dz
                 gap = np.where(
                     w > 0.0,
                     rho[good] * rho[good] / (u + w),
@@ -436,32 +440,17 @@ def _axial_transform(
         z_breaks.extend([x1, max(z_lo, x1 - half), min(z_hi, x1 + half)])
 
     use_log = z_lo > 0.0 and z_hi / max(z_lo, 1e-300) > 50.0
-
+    xspan, xbreaks = (z_lo, z_hi), z_breaks
     if use_log:
-        def f2(w: np.ndarray, eta: np.ndarray) -> np.ndarray:
-            z1 = np.exp(np.asarray(w, dtype=float))
-            cap = prof.rho_cap(z1)
-            rho = eta * cap
-            return physical(z1, rho) * cap * z1
+        xspan, xbreaks = (math.log(z_lo), math.log(z_hi)), [math.log(b) for b in z_breaks if b > 0]
 
-        est = integrate_2d(
-            f2,
-            (math.log(z_lo), math.log(z_hi)),
-            (0.0, 1.0),
-            q,
-            xbreaks=[math.log(b) for b in z_breaks if b > 0],
-            ybreaks=[0.5],
-        )
-    else:
-        def f2(z1: np.ndarray, eta: np.ndarray) -> np.ndarray:
-            z1 = np.asarray(z1, dtype=float)
-            cap = prof.rho_cap(z1)
-            rho = eta * cap
-            return physical(z1, rho) * cap
+    def f2(w: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        z1 = np.exp(w) if use_log else w
+        cap = prof.rho_cap(z1)
+        out = physical(z1, eta * cap) * cap
+        return out * z1 if use_log else out
 
-        est = integrate_2d(
-            f2, (z_lo, z_hi), (0.0, 1.0), q, xbreaks=z_breaks, ybreaks=[0.5]
-        )
+    est = integrate_2d(f2, xspan, (0.0, 1.0), q, xbreaks=xbreaks, ybreaks=[0.5])
     return est.scaled(area)
 
 
@@ -472,7 +461,7 @@ def _axial_transform(
 
 def _split_same_sign_sum(V: Potential) -> list[Potential]:
     """Decompose a sign-uniform Sum so each term integrates at its own scale."""
-    if isinstance(V, Sum) and V.sign is not None and V.sign.value != "mixed":
+    if isinstance(V, Sum) and V.sign is not SignClass.MIXED:
         out: list[Potential] = []
         for t in V.terms:
             out.extend(_split_same_sign_sum(t))
@@ -485,9 +474,14 @@ def _split_same_sign_sum(V: Potential) -> list[Potential]:
 
 
 def k_transform(
-    V: Potential, x, y, d=None, q: QuadratureSpec = DEFAULT_SPEC_2D
+    V: Potential, x, y, d=None, q: QuadratureSpec | None = None
 ) -> Estimate:
-    """K(V, x, y) = int |V(z)| k0(z - x, y) dz with symmetry-aware reduction."""
+    """K(V, x, y) = int |V(z)| k0(z - x, y) dz with symmetry-aware reduction.
+
+    A given spec q is used on every route.  Without one, the radial route
+    at y = 0 (a 1D integral) uses DEFAULT_SPEC_1D and the others
+    DEFAULT_SPEC_2D.
+    """
     d, xv, yv = _probe_args(V, d, x, y)
     parts = _split_same_sign_sum(V)
     if len(parts) > 1:
@@ -499,16 +493,11 @@ def k_transform(
         if ny == 0.0:
             # the kernel degenerates to |z - x|^{2-d}: exact angular reduction
             nx = float(np.linalg.norm(xv))
-            q1 = dataclasses.replace(
-                q,
-                rel_tol=min(q.rel_tol, DEFAULT_SPEC_1D.rel_tol),
-                max_subdivisions=max(q.max_subdivisions, DEFAULT_SPEC_1D.max_subdivisions),
-            )
-            return _radial_isotropic_transform(V, nx, d, q1)
-        return _k_like_radial_transform(V, xv, yv, d, q)
+            return _radial_isotropic_transform(V, nx, d, q or DEFAULT_SPEC_1D)
+        return _k_like_radial_transform(V, xv, yv, d, q or DEFAULT_SPEC_2D)
 
     if V.symmetry is Symmetry.AXIAL and _on_axis(xv) and _on_axis(yv):
-        return _axial_transform(V, float(xv[0]), float(yv[0]), d, q, kernel="k0")
+        return _axial_transform(V, float(xv[0]), float(yv[0]), d, q or DEFAULT_SPEC_2D)
 
     raise GeometryError(
         "k_transform supports radial potentials at any probes and axial "
@@ -562,13 +551,13 @@ def newton_potential(
         if math.isinf(prof.z1_hi):
             # bounded verdict comes from the growth ladder over truncations
             def shell(lo: float, hi: float) -> Estimate:
-                return _axial_transform(V, float(xv[0]), 0.0, d, q, "newton", z1_window=(lo, hi))
+                return _axial_transform(V, float(xv[0]), 0.0, d, q, z1_window=(lo, hi))
 
             base = max(abs(prof.z1_lo), abs(xv[0]), 4.0)
             ladder = [base * 4.0**k for k in range(1, 13)]
             diag = growth_diagnosis(shell_sum(shell, prof.z1_lo), ladder, rel_tol=2e-3)
             return verdict_estimate(diag).scaled(cd)
-        est = _axial_transform(V, float(xv[0]), 0.0, d, q, kernel="newton")
+        est = _axial_transform(V, float(xv[0]), 0.0, d, q)
         return est.scaled(cd)
 
     raise GeometryError(
@@ -598,7 +587,7 @@ def j_transform(
         const = math.gamma(d / 2.0 - 1.0) * 4.0 ** (d / 2.0 - 1.0) / newton_constant(d)
         return newton_potential(V, xv, d, q).scaled(const)
     if d == 3:
-        return k_transform(V, xv, yv, d, q or DEFAULT_SPEC_2D).scaled(_TWO_SQRT_PI)
+        return k_transform(V, xv, yv, d, q).scaled(_TWO_SQRT_PI)
     if V.symmetry is not Symmetry.RADIAL:
         raise GeometryError("j_transform at d >= 4 supports radial potentials")
     prof = radial_profile(V)
@@ -614,7 +603,8 @@ def j_transform(
     def inner(tau: np.ndarray) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
         mu = np.sqrt(np.maximum(nx * nx + 2.0 * tau * dir_dot + tau * tau * ny * ny, 0.0))
-        return _radial_gaussian_mean(prof, mu, np.sqrt(2.0 * tau), d, q)
+        # constant cells: the means are closed-form, no inner status to fold
+        return _radial_gaussian_mean(prof, mu, np.sqrt(2.0 * tau), d, q, set())
 
     tau_far = (nx + sup + 10.0) / ny + (nx + sup + 10.0) ** 2
     est = integrate_half_line(
@@ -732,9 +722,18 @@ def _q3_density(s: np.ndarray, mu, sigma, sigma2, sigma3) -> np.ndarray:
 
 
 def _radial_gaussian_mean(
-    prof: RadialProfile, mu: np.ndarray, sigma: np.ndarray, d: int, q: QuadratureSpec
+    prof: RadialProfile,
+    mu: np.ndarray,
+    sigma: np.ndarray,
+    d: int,
+    q: QuadratureSpec,
+    inner: set[Status],
 ) -> np.ndarray:
-    """E |V|(|Z|) with Z ~ N(m, sigma^2 I_d), |m| = mu, vectorized over probes."""
+    """E |V|(|Z|) with Z ~ N(m, sigma^2 I_d), |m| = mu, vectorized over probes.
+
+    The statuses of the means integrated by quadrature (smooth profiles)
+    are added to ``inner``, for the caller to ``_fold`` into its result.
+    """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if prof.constant_cells is not None:
@@ -782,6 +781,7 @@ def _radial_gaussian_mean(
     )
     for (i, _, _), est in zip(probes, ests):
         out[i] = est.value
+        inner.add(est.status)
     return out.reshape(np.shape(mu))
 
 
@@ -827,6 +827,7 @@ def s_functional(
     pinned bridge, evaluated as a time integral of Gaussian means of |V|."""
     d, prof, x, y = _bridge_inputs(V, spec)
     t = spec.t
+    inner: set[Status] = set()
 
     def integrand(s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -834,10 +835,10 @@ def s_functional(
         m = x[None, :] + frac[:, None] * (y - x)[None, :]
         mu = np.linalg.norm(m, axis=1)
         var = 2.0 * s * (t - s) / t
-        return _radial_gaussian_mean(prof, mu, np.sqrt(var), d, q)
+        return _radial_gaussian_mean(prof, mu, np.sqrt(var), d, q, inner)
 
     breaks = _crossing_times(x, y, t, prof.breakpoints) + [t / 2.0]
-    return integrate_finite(integrand, 0.0, t, q, breakpoints=breaks)
+    return _fold(integrate_finite(integrand, 0.0, t, q, breakpoints=breaks), inner)
 
 
 def _n_halves(
@@ -847,10 +848,12 @@ def _n_halves(
 
     Both integrate Gaussian means of |V| along the straight path from y to
     x, with per-coordinate variance 2 tau (first half) and 2 (t - tau)
-    (second half).
+    (second half); each folds in the statuses of its own means.
     """
     d, prof, x, y = _bridge_inputs(V, spec)
     t = spec.t
+    inner1: set[Status] = set()
+    inner2: set[Status] = set()
 
     def center_norm(tau: np.ndarray) -> np.ndarray:
         frac = tau / t
@@ -859,12 +862,12 @@ def _n_halves(
 
     def first_half(tau: np.ndarray) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
-        return _radial_gaussian_mean(prof, center_norm(tau), np.sqrt(2.0 * tau), d, q)
+        return _radial_gaussian_mean(prof, center_norm(tau), np.sqrt(2.0 * tau), d, q, inner1)
 
     def second_half(tau: np.ndarray) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
         return _radial_gaussian_mean(
-            prof, center_norm(tau), np.sqrt(2.0 * (t - tau)), d, q
+            prof, center_norm(tau), np.sqrt(2.0 * (t - tau)), d, q, inner2
         )
 
     crossings = _crossing_times(y, x, t, prof.breakpoints)
@@ -874,7 +877,7 @@ def _n_halves(
     est2 = integrate_finite(
         second_half, t / 2.0, t, q, breakpoints=[s for s in crossings if s > t / 2.0]
     )
-    return est1, est2
+    return _fold(est1, inner1), _fold(est2, inner2)
 
 
 def n_functional(
@@ -1033,17 +1036,6 @@ def sup_search(
         ):
             boundary = True
 
-    starts = []
-    seen = set()
-    for idx in order:
-        key = tuple(points[int(idx)])
-        if key in seen:
-            continue
-        seen.add(key)
-        starts.append(points[int(idx)])
-        if len(starts) >= strategy.multistarts:
-            break
-
     def to_internal(pt: np.ndarray) -> np.ndarray:
         out = []
         for j, ax in enumerate(axes):
@@ -1062,7 +1054,8 @@ def sup_search(
                 out.append(min(max(u[j], ax.lo), ax.hi))
         return np.asarray(out, dtype=float)
 
-    for start in starts:
+    # the grid's points are distinct: each axis grid increases
+    for start in points[order[: strategy.multistarts]]:
         res = _scipy_optimize.minimize(
             lambda u: -probe(to_external(u)),
             to_internal(start),
@@ -1070,7 +1063,7 @@ def sup_search(
             options={"maxiter": strategy.nm_max_iter, "xatol": 1e-6, "fatol": 1e-12},
         )
         cand_pt = to_external(res.x)
-        cand_val = float(probe(cand_pt))
+        cand_val = probe(cand_pt)
         if cand_val > best_val:
             best_val = cand_val
             best_pt = cand_pt
@@ -1142,7 +1135,7 @@ def truncate_potential(V: Potential, R: float) -> Potential:
 def k_norm(
     V: Potential,
     d,
-    q: QuadratureSpec = DEFAULT_SPEC_2D,
+    q: QuadratureSpec | None = None,
     strategy: SearchStrategy = SearchStrategy(grid_density=5),
     ladder: Sequence[float] | None = None,
 ) -> NormReport:
@@ -1154,7 +1147,8 @@ def k_norm(
     growth-diagnosed at the certificate probe (x = 0, y = e1).  Unbounded
     supports are searched through a truncation (pointwise kernel integrals
     need not even be finite there); the probed sup stays a valid lower bound
-    because truncation only removes nonnegative mass.
+    because truncation only removes nonnegative mass.  Every probe passes q
+    to k_transform as given, so None keeps the default spec of each route.
     """
     d = as_dimension(d)
     if ladder is None:

@@ -13,14 +13,16 @@ Potentials are built from a small set of analytic forms:
     Sum(terms)
 
 Every form carries derived symmetry (radial / axial about e1 / general),
-sign class, support and ``value_range()`` metadata (an interval holding
-every value; ``bound_above()`` = max(hi, 0)); the transform modules use the
-symmetry tag to pick a dimension-reduced quadrature, and take |V| as the
-cells of ``RadialProfile.kernel_cells()`` or in (z1, rho) up to each
-on-axis ball's exact chord.  A radial |V| is the form's own ``_values`` at
-r e1 (the cells give only its pieces); the axial forms keep (z1, rho)
-closures, cheaper on the many small calls of the axial ladders.  All
-potentials are immutable and evaluation is pure.
+support and ``value_range()`` metadata: an interval (lo, hi) holding every
+value, from which the sign class (nonpositive when hi <= 0, nonnegative
+when lo >= 0, else mixed) and ``bound_above()`` = max(hi, 0) are read off
+in the base class.  The transform modules use the symmetry tag to pick a
+dimension-reduced quadrature, and take |V| as the cells of
+``RadialProfile.kernel_cells()`` or in (z1, rho) up to each on-axis ball's
+exact chord.  A radial |V| is the form's own ``_values`` at r e1 (the
+cells give only its pieces); the axial forms keep (z1, rho) closures,
+cheaper on the many small calls of the axial ladders.  All potentials are
+immutable and evaluation is pure.
 
 The JSON wire format round-trips exactly::
 
@@ -42,7 +44,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -95,19 +96,6 @@ class SignClass(str, Enum):
     MIXED = "mixed"
 
 
-def _sign_of_amplitude(a: float) -> SignClass:
-    return SignClass.NONPOSITIVE if a <= 0.0 else SignClass.NONNEGATIVE
-
-
-def _combine_signs(signs: Sequence[SignClass]) -> SignClass:
-    s = set(signs)
-    if s <= {SignClass.NONPOSITIVE}:
-        return SignClass.NONPOSITIVE
-    if s <= {SignClass.NONNEGATIVE}:
-        return SignClass.NONNEGATIVE
-    return SignClass.MIXED
-
-
 class Potential:
     """Base class; concrete forms are the dataclasses below."""
 
@@ -117,7 +105,12 @@ class Potential:
 
     @property
     def sign(self) -> SignClass:
-        raise NotImplementedError
+        lo, hi = self.value_range()
+        if hi <= 0.0:
+            return SignClass.NONPOSITIVE
+        if lo >= 0.0:
+            return SignClass.NONNEGATIVE
+        return SignClass.MIXED
 
     def support_radius(self) -> float:
         """Radius of a ball (about the origin) containing the support; inf if unbounded."""
@@ -151,10 +144,6 @@ class Constant(Potential):
     def symmetry(self) -> Symmetry:
         return Symmetry.RADIAL
 
-    @property
-    def sign(self) -> SignClass:
-        return _sign_of_amplitude(self.value)
-
     def support_radius(self) -> float:
         return 0.0 if self.value == 0.0 else math.inf
 
@@ -187,10 +176,6 @@ class BallIndicator(Potential):
         if self.center is not None and all(c == 0.0 for c in self.center[1:]):
             return Symmetry.AXIAL
         return Symmetry.GENERAL
-
-    @property
-    def sign(self) -> SignClass:
-        return _sign_of_amplitude(self.amplitude)
 
     def support_radius(self) -> float:
         return self._center_norm() + self.radius
@@ -233,10 +218,6 @@ class RadialPower(Potential):
     def symmetry(self) -> Symmetry:
         return Symmetry.RADIAL
 
-    @property
-    def sign(self) -> SignClass:
-        return _sign_of_amplitude(self.amplitude)
-
     def support_radius(self) -> float:
         return self.outer_radius
 
@@ -272,10 +253,6 @@ class CounterexampleA(Potential):
     @property
     def symmetry(self) -> Symmetry:
         return Symmetry.AXIAL
-
-    @property
-    def sign(self) -> SignClass:
-        return SignClass.NONPOSITIVE
 
     def support_radius(self) -> float:
         if self.z1_max is None:
@@ -313,10 +290,6 @@ class Dilate(Potential):
     def symmetry(self) -> Symmetry:
         return self.inner.symmetry
 
-    @property
-    def sign(self) -> SignClass:
-        return self.inner.sign
-
     def support_radius(self) -> float:
         return self.inner.support_radius() / math.sqrt(self.s)
 
@@ -338,19 +311,6 @@ class Scale(Potential):
     @property
     def symmetry(self) -> Symmetry:
         return self.inner.symmetry
-
-    @property
-    def sign(self) -> SignClass:
-        if self.factor == 0.0:
-            return SignClass.NONNEGATIVE
-        if self.factor > 0.0:
-            return self.inner.sign
-        flips = {
-            SignClass.NONPOSITIVE: SignClass.NONNEGATIVE,
-            SignClass.NONNEGATIVE: SignClass.NONPOSITIVE,
-            SignClass.MIXED: SignClass.MIXED,
-        }
-        return flips[self.inner.sign]
 
     def support_radius(self) -> float:
         return 0.0 if self.factor == 0.0 else self.inner.support_radius()
@@ -390,10 +350,6 @@ class Sum(Potential):
             return Symmetry.AXIAL
         return Symmetry.GENERAL
 
-    @property
-    def sign(self) -> SignClass:
-        return _combine_signs([t.sign for t in self.terms])
-
     def support_radius(self) -> float:
         return max(t.support_radius() for t in self.terms)
 
@@ -421,11 +377,7 @@ class Sum(Potential):
 
 def evaluate(V: Potential, z) -> float:
     """Pointwise value V(z)."""
-    Z = np.atleast_2d(np.asarray(z, dtype=float))
-    hint = V.dimension_hint()
-    if hint is not None and Z.shape[1] != hint:
-        raise DimensionError(f"potential expects {hint}-dimensional points, got {Z.shape[1]}")
-    return float(V._values(Z)[0])
+    return float(evaluate_many(V, np.atleast_2d(z))[0])
 
 
 def evaluate_many(V: Potential, Z: np.ndarray) -> np.ndarray:

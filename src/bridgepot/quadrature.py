@@ -306,7 +306,7 @@ def _refine(boxes: list[tuple], spec: QuadratureSpec) -> Generator[list, list, E
 
     tol = max(spec.abs_tol, spec.rel_tol * abs(total))
     status = Status.CONVERGED if total_err <= tol else Status.MAX_SUBDIVISIONS_REACHED
-    return Estimate(total, total_err, status)
+    return Estimate(float(total), float(total_err), status)
 
 
 # the packing rule's cap on boxes per integrand call (module docstring)

@@ -316,12 +316,10 @@ def _suite_d3(cfg: dict) -> tuple[list[Finding], dict]:
     dom_bad = 0
     worst_margin = -math.inf
     V = potentials[0]
-    spec2 = QuadratureSpec(rel_tol=1e-6, max_subdivisions=4000)
-
     for _ in range(n_dom):
         x = rng.standard_normal(3) * 1.5
         y = rng.standard_normal(3) * 1.5
-        kxy = k_transform(V, x, y, 3, spec2)
+        kxy = k_transform(V, x, y, 3)
         kx0 = k_transform(V, x, np.zeros(3), 3)
         margin = kxy.value - kx0.value
         worst_margin = max(worst_margin, margin)
@@ -510,8 +508,6 @@ def _suite_dilation(cfg: dict) -> tuple[list[Finding], dict]:
         else BallIndicator(None, 1.0, -1.0)
     )
     rng = _rng(seed)
-    q2 = QuadratureSpec(rel_tol=1e-6, max_subdivisions=4000)
-
     rels_k, rels_n = [], []
     for _ in range(samples):
         s = float(np.exp(rng.uniform(-1.5, 1.5)))
@@ -519,8 +515,8 @@ def _suite_dilation(cfg: dict) -> tuple[list[Finding], dict]:
         y = rng.standard_normal(d)
         Vs = dilate(V, s)
         rs = math.sqrt(s)
-        k1 = k_transform(Vs, x, y, d, q2)
-        k2 = k_transform(V, rs * x, y / rs, d, q2)
+        k1 = k_transform(Vs, x, y, d)
+        k2 = k_transform(V, rs * x, y / rs, d)
         n1 = newton_potential(Vs, x, d)
         n2 = newton_potential(V, rs * x, d)
         rels_k.append(abs(k1.value - k2.value) / max(abs(k2.value), 1e-300))

@@ -90,6 +90,19 @@ def test_transform_jt_d4_honours_quadrature_flags():
     assert code == 0 and json.loads(starved)["value"] != json.loads(default)["value"]
 
 
+def test_transform_k_radial_y0_honours_quadrature_flags():
+    # the y = 0 route of a radial potential takes the given spec as given
+    shell = (
+        '{"type":"radial_power","exponent":0.5,"inner_radius":0.0,"outer_radius":3.0,'
+        '"amplitude":-1.0}'
+    )
+    probe = ("transform", "k", "--potential", shell, "--x", "0.5,0.2,0", "--rel-tol", "1e-12")
+    code, out, _ = run_cli(*probe)
+    assert code == 0 and json.loads(out)["status"] == "converged"
+    code, out, err = run_cli(*probe, "--max-subdivisions", "1")
+    assert code == 1 and out == "" and "max_subdivisions_reached" in err
+
+
 def test_norm_commands():
     code, out, _ = run_cli(
         "norm", "newton", "--potential", BALL, "--grid-density", "3", "--multistarts", "1"

@@ -89,6 +89,8 @@ def test_sign_metadata_sharp():
         (CEX, SignClass.NONPOSITIVE),
         (Sum((BALL, BallIndicator(None, 2.0, 0.5))), SignClass.MIXED),
         (RadialPower(-1.0, 0.1, 5.0, 2.0), SignClass.NONNEGATIVE),
+        # a zero-valued term leaves the sum's sign alone
+        (Sum((BALL, Scale(0.0, BALL))), SignClass.NONPOSITIVE),
     ]
     for V, sign in cases:
         assert V.sign is sign
@@ -300,6 +302,10 @@ def test_bound_above_bounds_every_value(case):
     slack = 1e-12 * (1.0 + abs(bound) + abs(lo))
     assert max(vals.max(), 0.0) <= bound + slack
     assert vals.min() >= lo - slack
+    if V.sign is SignClass.NONPOSITIVE:
+        assert vals.max() <= 0.0
+    elif V.sign is SignClass.NONNEGATIVE:
+        assert vals.min() >= 0.0
 
 
 @st.composite
