@@ -40,7 +40,6 @@ from .kernels import (
     explicit_constant,
     f_estimate,
     f_integral,
-    h_pair,
     heat_kernel,
     i_app,
     j_kernel,

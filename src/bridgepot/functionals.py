@@ -27,7 +27,8 @@ d = 3 are elementary and at other d are the noncentral chi-squared CDF,
 conditioned exactly on the transverse chi-squared law at small variance.
 
 Suprema over unbounded domains are explored with log-spaced coarse grids
-plus multistart Nelder-Mead refinement and are reported as certified lower
+plus multistart Nelder-Mead refinement (an in-repo simplex that follows
+scipy's Nelder-Mead step for step) and are reported as certified lower
 bounds; divergence of a norm is only ever asserted through a growth
 diagnosis of truncations, never from a single quadrature.
 """
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize as _scipy_optimize
 from scipy import special as _scipy_special
 
 from .errors import BridgepotError, DimensionError, GeometryError
@@ -964,6 +964,14 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class SearchStrategy:
+    """Grid points per axis, simplex runs, and each run's iteration cap.
+
+    nm_max_iter counts as scipy's Nelder-Mead ``maxiter`` does: the loop
+    counter starts at 1, so a run takes at most nm_max_iter - 1 simplex
+    steps (``--nm-iters 5`` runs 4).  The count is kept because changing
+    it changes every search result.
+    """
+
     grid_density: int = 7
     multistarts: int = 3
     nm_max_iter: int = 160
@@ -985,6 +993,67 @@ class SupResult:
     boundary_hit: bool
 
 
+def _nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray, max_iter: int) -> np.ndarray:
+    """Downhill simplex (Nelder & Mead, Comput. J. 7, 1965) minimising f from x0.
+
+    Step for step scipy's Nelder-Mead (``scipy.optimize.minimize`` with
+    ``method="Nelder-Mead"`` and options ``maxiter=max_iter``, ``xatol=1e-6``,
+    ``fatol=1e-12``): no bounds, fixed coefficients, the default initial
+    simplex (each coordinate in turn times 1.05, or 0.00025 where it is
+    zero), and the loop counter starting at 1, so at most max_iter - 1
+    steps are taken.  The same points are requested in the same order and
+    the same best vertex is returned.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    sim[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = np.array([f(v) for v in sim], dtype=float)
+    # sorted twice, as scipy does: argsort is not stable, so the second
+    # pass may reorder ties
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < max_iter:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= 1e-6
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0]
+
+
 def sup_search(
     objective: Callable[[np.ndarray], Estimate],
     domain: Sequence[AxisSpec],
@@ -992,12 +1061,15 @@ def sup_search(
 ) -> SupResult:
     """Coarse product grid plus multistart downhill-simplex refinement.
 
-    The reported value is the maximum over every probed point, a lower
-    bound on the supremum; no claim of global optimality is made.  A probe
-    whose value is not finite counts as -inf.  The grid spans each axis's
-    [lo, hi]; the simplex may leave it, up to lo * 1e-3 and hi * 1e3 on a
-    log axis (see AxisSpec).  boundary_hit flags a coarse-grid argmax on
-    the outer edge of a log axis, the cue for a growth diagnosis.
+    Each of the best ``multistarts`` grid points seeds one ``_nelder_mead``
+    run (scipy's Nelder-Mead, step for step) in internal coordinates: the
+    log of a log axis, a linear axis as is.  The reported value is the
+    maximum over every probed point, a lower bound on the supremum; no
+    claim of global optimality is made.  A probe whose value is not finite
+    counts as -inf.  The grid spans each axis's [lo, hi]; the simplex may
+    leave it, up to lo * 1e-3 and hi * 1e3 on a log axis (see AxisSpec).
+    boundary_hit flags a coarse-grid argmax on the outer edge of a log
+    axis, the cue for a growth diagnosis.
 
     The objective returns an Estimate and must be a pure function of the
     point: the grid, every simplex run and each run's closing re-evaluation
@@ -1056,13 +1128,8 @@ def sup_search(
 
     # the grid's points are distinct: each axis grid increases
     for start in points[order[: strategy.multistarts]]:
-        res = _scipy_optimize.minimize(
-            lambda u: -probe(to_external(u)),
-            to_internal(start),
-            method="Nelder-Mead",
-            options={"maxiter": strategy.nm_max_iter, "xatol": 1e-6, "fatol": 1e-12},
-        )
-        cand_pt = to_external(res.x)
+        u = _nelder_mead(lambda v: -probe(to_external(v)), to_internal(start), strategy.nm_max_iter)
+        cand_pt = to_external(u)
         cand_val = probe(cand_pt)
         if cand_val > best_val:
             best_val = cand_val

@@ -14,8 +14,8 @@ and the inverse-Gaussian-type integral family
     f(a, b) = int_0^inf  u^{-beta} exp(-c [sqrt(u) b - a/sqrt(u)]^2) du
 
 together with its closed-form comparison estimate, the sandwich integral
-i_app, the Gaussian-profile integral h, and the explicit upper constant
-valid for beta >= 3/2.  Completing the square in the exponent of J gives
+i_app, and the explicit upper constant valid for beta >= 3/2.  Completing
+the square in the exponent of J gives
 
     J(x, y) = exp(-(|x||y| - x.y)/2) * f(|x|/2, |y|/2)   (beta = d/2, c = 1)
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, DimensionError
+from .errors import DimensionError
 from .growth import growth_diagnosis, shell_sum, verdict_estimate
 from .quadrature import (
     DEFAULT_SPEC_1D,
@@ -57,7 +57,6 @@ __all__ = [
     "f_integral",
     "f_estimate",
     "i_app",
-    "h_pair",
     "explicit_constant",
     "newton_constant",
     "kappa",
@@ -298,45 +297,6 @@ def i_app(
     grow_scale = math.sqrt((abs(beta) + 3.0) / c)
     cover = (1e-6 / math.sqrt(c), 3.0 * grow_scale)
     return integrate_half_line(integrand, q, center=1.0 / math.sqrt(2.0 * c), must_cover=cover)
-
-
-def h_pair(
-    x: float, gamma: float, c: float, q: QuadratureSpec = DEFAULT_SPEC_1D
-) -> tuple[Estimate, float]:
-    """Quadrature of h(x) = int_0^inf (x + s^2)^gamma e^{-c s^2} ds and its
-    closed-form comparison value (1 + x)^gamma.
-
-    For gamma >= 0 the pair is additionally checked against the explicit
-    upper constant, h(x) <= C (1+x)^gamma; a violation indicates a broken
-    quadrature and raises.
-    """
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if not (gamma > -0.5):
-        raise ValueError(f"gamma must be > -1/2, got {gamma}")
-    if not (c > 0.0):
-        raise ValueError(f"c must be > 0, got {c}")
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if x == 0.0:
-            logbase = 2.0 * np.log(s)
-        else:
-            logbase = np.log(x + s * s)
-        logf = gamma * logbase - c * s * s
-        return np.exp(np.maximum(logf, -745.0)) * (logf > -745.0)
-
-    grow_scale = math.sqrt((abs(gamma) + 3.0) / c)
-    cover = (1e-6 / math.sqrt(c), math.sqrt(x) + 3.0 * grow_scale)
-    est = integrate_half_line(integrand, q, center=1.0 / math.sqrt(2.0 * c), must_cover=cover)
-    comparison = math.exp(gamma * math.log1p(x))
-    if gamma >= 0.0 and est.converged:
-        cap = explicit_constant(gamma + 1.5, c, q).value / 4.0
-        if est.value > cap * comparison * (1.0 + 1e-6) + est.error_bound:
-            raise ComputationError(
-                f"h({x}) = {est.value} exceeded its proven cap {cap * comparison}"
-            )
-    return est, comparison
 
 
 def explicit_constant(

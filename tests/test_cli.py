@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +241,20 @@ def test_cli_determinism_subprocess():
     b = subprocess.run(cmd, capture_output=True)
     assert a.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_import_loads_no_scipy_optimize_integrate_or_stats():
+    # the cold start of every command: run time needs only scipy.special
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import bridgepot, bridgepot.cli, sys; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.stats') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_simulate_ratio_of_a_negated_negative_power():

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as spi
+from scipy import optimize as spo
 from scipy import special as sps
 
 from bridgepot import functionals, potentials
@@ -565,6 +568,46 @@ def test_sup_search_computes_each_distinct_point_once():
         "simplex from [10.0]: 11.5129",
     )
     assert res.boundary_hit
+
+
+_NM_CENTRE = np.array([1.5, -0.5, 2.0, 0.25])
+_NM_OBJECTIVES = {
+    "bowl": lambda x: float(np.sum((x - _NM_CENTRE[: len(x)]) ** 2)),
+    # plateaus: many ties among the vertices
+    "steps": lambda x: math.floor(2.0 * np.sum((x - _NM_CENTRE[: len(x)]) ** 2)) / 2.0,
+    # monotone: the simplex walks off and keeps expanding
+    "walk": lambda x: float(np.sum(x)),
+    # +inf outside a box, as sup_search's objective is on a non-finite probe
+    "wall": lambda x: math.inf if np.max(np.abs(x)) > 4.0 else float(np.sum(x**4 - x)),
+    "flat": lambda x: 1.0,
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    x0=st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.just(0.0) | st.floats(-5.0, 5.0), min_size=n, max_size=n)
+    ),
+    max_iter=st.integers(0, 200),
+    kind=st.sampled_from(sorted(_NM_OBJECTIVES)),
+)
+def test_nelder_mead_follows_scipy(x0, max_iter, kind):
+    # the same points requested, bit for bit and in order, and the same x
+    def run(minimise):
+        requested = []
+
+        def f(x):
+            requested.append(x.tobytes())
+            return _NM_OBJECTIVES[kind](x)
+
+        with np.errstate(invalid="ignore"):  # inf - inf in the stopping test
+            x = minimise(f)
+        return requested, x.tobytes()
+
+    options = {"maxiter": max_iter, "xatol": 1e-6, "fatol": 1e-12}
+    ours = run(lambda f: functionals._nelder_mead(f, np.array(x0), max_iter))
+    theirs = run(lambda f: spo.minimize(f, np.array(x0), method="Nelder-Mead", options=options).x)
+    assert ours == theirs
 
 
 def test_newton_norm_counterexample_pinned():

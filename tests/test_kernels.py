@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate as spi
 from scipy import special as sps
 
 from bridgepot.errors import DimensionError
@@ -13,7 +14,6 @@ from bridgepot.kernels import (
     f_estimate,
     f_integral,
     gaussian_tail_power_integral,
-    h_pair,
     heat_kernel,
     i_app,
     j_kernel,
@@ -228,8 +228,15 @@ def test_i_app_sandwich_against_h():
     # 2^{-2(beta-1)} a^{-2(beta-1)} <= i_app / h(4ab) <= a^{-2(beta-1)}
     for a, b, beta, c in [(1.0, 1.0, 1.5, 1.0), (2.0, 1.0, 2.0, 1.0)]:
         I = i_app(a, b, beta, c, TIGHT)
-        h, _ = h_pair(4 * a * b, beta - 1.5, c, TIGHT)
-        ratio = I.value / h.value
+        # h(x) = int_0^inf (x + s^2)^gamma e^{-c s^2} ds, gamma = beta - 3/2
+        h, _ = spi.quad(
+            lambda s: (4 * a * b + s * s) ** (beta - 1.5) * math.exp(-c * s * s),
+            0,
+            math.inf,
+            epsabs=0,
+            epsrel=1e-12,
+        )
+        ratio = I.value / h
         lo = 2.0 ** (-2 * (beta - 1)) * a ** (-2 * (beta - 1))
         hi = a ** (-2 * (beta - 1))
         assert lo * (1 - 1e-9) <= ratio <= hi * (1 + 1e-9)
@@ -239,18 +246,6 @@ def test_i_app_small_b_sandwich_with_f():
     f = f_integral(1.0, 1e-8, 2.0, 1.0, TIGHT)
     I = i_app(1.0, 1e-8, 2.0, 1.0, TIGHT)
     assert f.value / 4 * (1 - 1e-8) <= I.value <= f.value / 2 * (1 + 1e-8)
-
-
-def test_h_pair_examples():
-    h, comp = h_pair(7.7, 0.0, 1.0, TIGHT)
-    assert h.value == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-10)
-    assert comp == 1.0
-    h, comp = h_pair(3.0, 1.0, 1.0, TIGHT)
-    assert h.value == pytest.approx(7 * math.sqrt(math.pi) / 4, rel=1e-10)
-    assert comp == 4.0
-    h, comp = h_pair(0.0, 1.0, 2.0, TIGHT)
-    assert h.value == pytest.approx(math.gamma(1.5) / (2 * 2**1.5), rel=1e-10)
-    assert comp == 1.0
 
 
 def test_explicit_constant_closed_forms():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bridgepot.errors import BridgepotError, DimensionError
@@ -317,8 +317,12 @@ def radial_trees_and_radii(draw):
     return V, d, np.array(r)
 
 
+_TINY = 3.7933226102043905e-160  # its square is subnormal
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(radial_trees_and_radii())
+@example((Scale(_TINY, Sum((Constant(_TINY), Constant(_TINY)))), 3, np.array([1.0])))
 def test_radial_cells_describe_the_values(case):
     # the cells amp * r^exponent on [lo, hi] add up to V(r e1) off the cell edges
     V, d, r = case
@@ -334,7 +338,10 @@ def test_radial_cells_describe_the_values(case):
     for k, (lo, hi, amp, expo) in enumerate(cells):
         inside = (r >= lo) & (r <= hi)
         terms[k, inside] = amp * r[inside] ** expo
-    assert np.all(np.abs(terms.sum(axis=0) - want) <= 1e-12 * np.abs(terms).sum(axis=0))
+    # relative to at least the smallest normal float: below it (subnormal
+    # products of tiny amplitudes) rounding is absolute, not relative
+    scale = np.maximum(np.abs(terms).sum(axis=0), np.finfo(float).tiny)
+    assert np.all(np.abs(terms.sum(axis=0) - want) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
