@@ -187,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     norm.add_argument("--potential", required=True)
     norm.add_argument("--grid-density", type=int, default=5)
     norm.add_argument("--multistarts", type=int, default=2)
-    norm.add_argument("--nm-iters", type=int, default=60)
+    norm.add_argument("--nm-iters", type=int, default=60,
+                      help="scipy's Nelder-Mead maxiter: at most N - 1 simplex steps per start")
     norm.add_argument("--radii", type=str, default=None,
                       help="comma-separated truncation ladder for the diagnosis")
 

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _scipy_special
 
 from .errors import BridgepotError, DimensionError, GeometryError
 from .growth import GrowthDiagnosis, growth_diagnosis, shell_sum, verdict_estimate
@@ -73,7 +72,7 @@ from .quadrature import (
     integrate_half_line,
     worst_status,
 )
-from .special import norm_cdf, sin_power_antideriv, sphere_area
+from .special import noncentral_chi2_cdf, norm_cdf, sin_power_antideriv, sphere_area
 
 __all__ = [
     "BridgeSpec",
@@ -210,9 +209,12 @@ def _azimuthal_cell_mass(
     w = 0.5 * width[:, None] * weights[None, :]
     R2 = A[:, None] + B[:, None] * np.cos(psi)
     R = np.sqrt(np.maximum(R2, 0.0))
-    vals = np.where((R >= lo) & (R <= hi) & (R > 0), R, 1.0) ** expo
-    vals = np.where((R >= lo) & (R <= hi), vals, 0.0)
-    return abs(amp) * (vals * np.sin(psi) ** m * w).sum(axis=1)
+    cell = (R >= lo) & (R <= hi)
+    vals = np.where(cell & (R > 0), R, 1.0) ** expo
+    vals = np.where(cell, vals, 0.0)
+    if m:
+        vals = vals * np.sin(psi) ** m
+    return abs(amp) * (vals * w).sum(axis=1)
 
 
 def _radial_isotropic_transform(
@@ -630,7 +632,9 @@ def _ball_overlap(R: float, mu, sigma, d: int) -> np.ndarray:
     exact forms (Johnson, Kotz & Balakrishnan, vol. 2, ch. 29):
 
       * sigma > R/10: the noncentral chi-squared CDF
-        P(chi'^2_d(mu^2/sigma^2) <= R^2/sigma^2), ``scipy.special.chndtr``;
+        P(chi'^2_d(mu^2/sigma^2) <= R^2/sigma^2), ``scipy.special.chndtr``
+        through ``special.noncentral_chi2_cdf`` (the first call loads
+        ``scipy.special``);
       * sigma <= R/10, where chndtr is slow near mu = R and returns NaN there
         once sigma is tiny: with m on the first axis, condition on
         C = xi_2^2 + ... + xi_d^2 ~ chi^2_{d-1}.  The event is then
@@ -674,7 +678,7 @@ def _ball_overlap(R: float, mu, sigma, d: int) -> np.ndarray:
         return np.where(small, limit, np.clip(base - corr, 0.0, 1.0))
     wide = sigma > _CONDITION_BELOW * R
     out = np.empty(shape)
-    out[wide] = _scipy_special.chndtr((R / sigma[wide]) ** 2, d, (mu[wide] / sigma[wide]) ** 2)
+    out[wide] = noncentral_chi2_cdf((R / sigma[wide]) ** 2, d, (mu[wide] / sigma[wide]) ** 2)
     m, s = mu[~wide][:, None], sigma[~wide][:, None]
     c, w = _transverse_rule(d)
     s2c = s * s * c

@@ -1,30 +1,48 @@
 """Special functions and sphere geometry used by the kernel reductions.
 
-The gamma function comes from the Python standard library (``math.gamma``)
-and the normal CDF from ``scipy.special.ndtr``, which evaluates it to full
+This is the package's one scipy touchpoint.  The gamma function comes from
+the Python standard library (``math.gamma``); the two CDFs come from
+``scipy.special``: ``ndtr`` for the normal CDF, which evaluates it to full
 double precision, also in the lower tail, without a Python call per
-element.  The chi-squared laws of the Gaussian ball overlaps come from
-``scipy.special`` directly (see ``functionals._ball_overlap``).
+element, and ``chndtr`` for the noncentral chi-squared CDF of the Gaussian
+ball overlaps (``functionals._ball_overlap``).  ``scipy.special`` is loaded
+on the first CDF call, not at import: it is most of the package's import
+time and memory, and the kernel transforms, the Newton potential, the
+divergence ladders and the bridge Monte Carlo never need it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "sphere_area",
     "ball_volume",
     "sin_power_antideriv",
     "norm_cdf",
+    "noncentral_chi2_cdf",
 ]
+
+
+@functools.cache
+def _scipy_special():
+    """``scipy.special``, imported once, on the first CDF call."""
+    import scipy.special
+
+    return scipy.special
 
 
 def norm_cdf(x) -> np.ndarray:
     """Standard normal CDF, vectorized."""
-    return ndtr(np.asarray(x, dtype=float))
+    return _scipy_special().ndtr(np.asarray(x, dtype=float))
+
+
+def noncentral_chi2_cdf(x, df, nc) -> np.ndarray:
+    """P(chi'^2_df(nc) <= x), the noncentral chi-squared CDF, vectorized."""
+    return _scipy_special().chndtr(x, df, nc)
 
 
 def sphere_area(m: int) -> float:

@@ -244,17 +244,34 @@ def test_cli_determinism_subprocess():
 
 
 def test_import_loads_no_scipy_optimize_integrate_or_stats():
-    # the cold start of every command: run time needs only scipy.special
+    # the cold start of every command loads no scipy at all; scipy.special
+    # loads on the first CDF call, and the K routes and the bridge Monte
+    # Carlo make none
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = (
-        "import bridgepot, bridgepot.cli, sys; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.stats') "
-        "if m in sys.modules))"
-    )
+    code = """
+import sys
+import bridgepot, bridgepot.cli
+from bridgepot import (
+    BallIndicator, BridgeSpec, CounterexampleA, McConfig, g_ratio_mc, k_transform, s_functional,
+)
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print(loaded())
+ball = BallIndicator(None, 1.0, -1.0)
+k_transform(ball, (0.3, 0.1, 0.0), (0.5, 0.0, 0.2))
+k_transform(CounterexampleA(z1_max=10.0), (2.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), 4)
+g_ratio_mc(ball, BridgeSpec(1.0, (0.0, 0.0, 0.0), (0.5, 0.0, 0.0)), McConfig(50, 8, 0))
+print(loaded())
+# a d = 4 ball overlap at sigma > R/10 is the noncentral chi-squared CDF
+s_functional(ball, BridgeSpec(1.0, (0.2, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0)))
+print("scipy.special" in sys.modules)
+"""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
+    assert out.stdout == "[]\n[]\nTrue\n"
 
 
 def test_simulate_ratio_of_a_negated_negative_power():
