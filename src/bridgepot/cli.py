@@ -285,11 +285,14 @@ def _cmd_norm(args) -> int:
         est = lp_halfd_norm(V, d, _spec_from_args(args))
         _emit(_estimate_record(est), args.format)
         return 0
-    strategy = SearchStrategy(
-        grid_density=args.grid_density,
-        multistarts=args.multistarts,
-        nm_max_iter=args.nm_iters,
-    )
+    try:
+        strategy = SearchStrategy(
+            grid_density=args.grid_density,
+            multistarts=args.multistarts,
+            nm_max_iter=args.nm_iters,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     ladder = (
         [float(r) for r in args.radii.split(",")] if args.radii else None
     )

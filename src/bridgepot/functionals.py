@@ -86,8 +86,6 @@ __all__ = [
     "n_functional",
     "s_functional",
     "sup_search",
-    "growth_diagnosis",
-    "GrowthDiagnosis",
     "k_norm",
     "newton_norm",
     "s_norm",
@@ -402,7 +400,7 @@ def _axial_transform(
     z_lo = max(prof.z1_lo, z1_window[0])
     z_hi = min(prof.z1_hi, z1_window[1])
     if not (z_hi > z_lo):
-        return Estimate(0.0, 0.0, Status.CONVERGED)
+        return _ZERO
     if math.isinf(z_hi):
         raise BridgepotError(
             "unbounded axial integrals must be truncated; diagnose growth instead"
@@ -415,25 +413,22 @@ def _axial_transform(
         out = np.zeros_like(z1)
         if not np.any(good):
             return out
+        vals, rho = vals[good], rho[good]
+        rho2 = rho * rho
         dz = z1[good] - x1
-        r2 = dz * dz + rho[good] * rho[good]
-        u = np.sqrt(r2)
+        u = np.sqrt(dz * dz + rho2)
         with np.errstate(divide="ignore"):
             if y1 == 0.0:
                 logk = (2.0 - d) * np.log(u)
             else:
                 w = math.copysign(1.0, y1) * dz
-                gap = np.where(
-                    w > 0.0,
-                    rho[good] * rho[good] / (u + w),
-                    u - w,
-                )
+                gap = np.where(w > 0.0, rho2 / (u + w), u - w)
                 logk = (
                     -0.5 * abs(y1) * gap
                     + (2.0 - d) * np.log(u)
                     + 0.5 * (d - 3.0) * np.log1p(u * abs(y1))
                 )
-        out[good] = vals[good] * np.exp(np.maximum(logk, -745.0)) * rho[good] ** (d - 2)
+        out[good] = vals * np.exp(np.maximum(logk, -745.0)) * rho ** (d - 2)
         return out
 
     z_breaks = [b for b in prof.breakpoints_z1 if z_lo < b < z_hi]
@@ -856,32 +851,21 @@ def _n_halves(
     """
     d, prof, x, y = _bridge_inputs(V, spec)
     t = spec.t
-    inner1: set[Status] = set()
-    inner2: set[Status] = set()
-
-    def center_norm(tau: np.ndarray) -> np.ndarray:
-        frac = tau / t
-        c = y[None, :] - frac[:, None] * (y - x)[None, :]
-        return np.linalg.norm(c, axis=1)
-
-    def first_half(tau: np.ndarray) -> np.ndarray:
-        tau = np.asarray(tau, dtype=float)
-        return _radial_gaussian_mean(prof, center_norm(tau), np.sqrt(2.0 * tau), d, q, inner1)
-
-    def second_half(tau: np.ndarray) -> np.ndarray:
-        tau = np.asarray(tau, dtype=float)
-        return _radial_gaussian_mean(
-            prof, center_norm(tau), np.sqrt(2.0 * (t - tau)), d, q, inner2
-        )
-
     crossings = _crossing_times(y, x, t, prof.breakpoints)
-    est1 = integrate_finite(
-        first_half, 0.0, t / 2.0, q, breakpoints=[s for s in crossings if s < t / 2.0]
-    )
-    est2 = integrate_finite(
-        second_half, t / 2.0, t, q, breakpoints=[s for s in crossings if s > t / 2.0]
-    )
-    return _fold(est1, inner1), _fold(est2, inner2)
+
+    def half(elapsed: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> Estimate:
+        inner: set[Status] = set()
+
+        def integrand(tau: np.ndarray) -> np.ndarray:
+            tau = np.asarray(tau, dtype=float)
+            c = y[None, :] - (tau / t)[:, None] * (y - x)[None, :]
+            mu = np.linalg.norm(c, axis=1)
+            return _radial_gaussian_mean(prof, mu, np.sqrt(2.0 * elapsed(tau)), d, q, inner)
+
+        breaks = [s for s in crossings if lo < s < hi]
+        return _fold(integrate_finite(integrand, lo, hi, q, breakpoints=breaks), inner)
+
+    return half(lambda tau: tau, 0.0, t / 2.0), half(lambda tau: t - tau, t / 2.0, t)
 
 
 def n_functional(
@@ -979,6 +963,12 @@ class SearchStrategy:
     grid_density: int = 7
     multistarts: int = 3
     nm_max_iter: int = 160
+
+    def __post_init__(self) -> None:
+        if self.grid_density < 1:
+            raise ValueError(f"grid_density must be >= 1, got {self.grid_density}")
+        if self.multistarts < 0:
+            raise ValueError(f"multistarts must be >= 0, got {self.multistarts}")
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ when lo >= 0, else mixed) and ``bound_above()`` = max(hi, 0) are read off
 in the base class.  The transform modules use the symmetry tag to pick a
 dimension-reduced quadrature, and take |V| as the cells of
 ``RadialProfile.kernel_cells()`` or in (z1, rho) up to each on-axis ball's
-exact chord.  A radial |V| is the form's own ``_values`` at r e1 (the
-cells give only its pieces); the axial forms keep (z1, rho) closures,
-cheaper on the many small calls of the axial ladders.  All potentials are
-immutable and evaluation is pure.
+exact chord.  Pointwise |V| on both reductions is the form's own
+``_values``, at r e1 or at z1 e1 + rho e2: the profiles add only where |V|
+lives (cells, ranges, rho caps and breakpoints), never a second statement
+of its values.  All potentials are immutable and evaluation is pure.
 
 The JSON wire format round-trips exactly::
 
@@ -269,9 +269,7 @@ class CounterexampleA(Potential):
         inside = (z1 > 4.0) & (rho2 <= z1)
         if self.z1_max is not None:
             inside &= z1 <= self.z1_max
-        out = np.zeros(Z.shape[0])
-        out[inside] = -1.0 / z1[inside]
-        return out
+        return np.where(inside, -1.0 / np.where(z1 > 4.0, z1, 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -513,7 +511,7 @@ class RadialProfile:
     cells: tuple[tuple[float, float, float, float], ...]
 
     def abs_value(self, r) -> np.ndarray:
-        return np.abs(_axis_values(self.potential, r, self.width))
+        return np.abs(_axis_values(self.potential, self.width, r))
 
     def kernel_cells(self) -> list[tuple[float, float, float, float]]:
         """|V| as (lo, hi, amplitude, exponent) cells whose |amplitude|s add up.
@@ -529,12 +527,15 @@ class RadialProfile:
         return list(self.cells)
 
 
-def _axis_values(V: Potential, r, width: int) -> np.ndarray:
-    """V at the points r e1 of R^width, shaped like r."""
-    r = np.asarray(r, dtype=float)
-    Z = np.zeros((r.size, width), order="F")  # r fills one contiguous column
-    Z[:, 0] = r.reshape(-1)
-    return V._values(Z).reshape(r.shape)
+def _axis_values(V: Potential, width: int, *columns) -> np.ndarray:
+    """V at the points of R^width whose leading coordinates are the given
+    columns (one shape, or scalars after the first) and the rest 0, shaped
+    like the first column."""
+    shape = np.shape(columns[0])
+    Z = np.zeros((np.size(columns[0]), width), order="F")  # each column contiguous
+    for j, col in enumerate(columns):
+        Z[:, j] = np.ravel(col)
+    return V._values(Z).reshape(shape)
 
 
 def _radial_cells(V: Potential) -> list[tuple[float, float, float, float]]:
@@ -586,18 +587,22 @@ def cell_edges(cells) -> tuple[float, ...]:
 class AxialProfile:
     """Axial reduction: |V| as a function of (z1, rho = |z2|).
 
-    ``rho_caps`` holds each term's cap z1 -> rho (an on-axis ball's chord);
-    |V| is zero above the largest, and may jump at the others.
+    |V|(z1, rho) is read from V's own ``_values`` at the points
+    z1 e1 + rho e2 (``abs_value``), as for the radial profile.  The rest is
+    data about where |V| lives: the z1 range, each term's cap z1 -> rho in
+    ``rho_caps`` (an on-axis ball's chord; |V| is zero above the largest
+    and may jump at the others) and the z1 breakpoints.
     """
 
-    signed_value: callable  # (z1, rho) -> value, broadcasting
+    potential: Potential
+    width: int  # coordinates of the points z1 e1 + rho e2: V's pinned dimension, else 2
     z1_lo: float
     z1_hi: float
     rho_caps: tuple[callable, ...]
     breakpoints_z1: tuple[float, ...]
 
     def abs_value(self, z1, rho) -> np.ndarray:
-        return np.abs(self.signed_value(np.asarray(z1, float), np.asarray(rho, float)))
+        return np.abs(_axis_values(self.potential, self.width, z1, rho))
 
     def rho_cap(self, z1) -> np.ndarray:
         """The largest useful rho at each z1."""
@@ -615,64 +620,32 @@ def _chord(c1: float, radius: float):
     return cap
 
 
-def _axial_signed(V: Potential):
-    """(signed (z1, rho) -> value, z1_lo, z1_hi, per-term rho caps, z1 breakpoints)."""
+def _axial_caps(V: Potential):
+    """(z1_lo, z1_hi, per-term rho caps, z1 breakpoints) of an axial V."""
     if isinstance(V, CounterexampleA):
         hi = V.z1_max if V.z1_max is not None else math.inf
-
-        def fn(z1, rho, hi=hi):
-            inside = (z1 > 4.0) & (rho * rho <= z1) & (z1 <= hi)
-            safe = np.where(z1 > 4.0, z1, 1.0)
-            return np.where(inside, -1.0 / safe, 0.0)
-
-        return fn, 4.0, hi, ((lambda z1: np.sqrt(np.maximum(z1, 0.0))),), (4.0,)
+        return 4.0, hi, ((lambda z1: np.sqrt(np.maximum(z1, 0.0))),), (4.0,)
     if isinstance(V, BallIndicator) and V.symmetry in (Symmetry.RADIAL, Symmetry.AXIAL):
         c1 = 0.0 if V.center is None else V.center[0]
-
-        def fn(z1, rho, c1=c1, V=V):
-            d2 = (z1 - c1) ** 2 + rho * rho
-            return np.where(d2 <= V.radius**2, V.amplitude, 0.0)
-
         lo, hi = c1 - V.radius, c1 + V.radius
-        return fn, lo, hi, (_chord(c1, V.radius),), (lo, hi)
+        return lo, hi, (_chord(c1, V.radius),), (lo, hi)
     if V.symmetry is Symmetry.RADIAL:
-        prof = radial_profile(V)
-
-        def fn(z1, rho, width=prof.width):
-            return _axis_values(V, np.sqrt(z1 * z1 + rho * rho), width)
-
-        sup, pts = prof.support, prof.breakpoints
-        return fn, -sup, sup, (_chord(0.0, sup),), tuple(b for p in pts for b in (-p, p))
+        sup, pts = V.support_radius(), cell_edges(_radial_cells(V))
+        return -sup, sup, (_chord(0.0, sup),), tuple(b for p in pts for b in (-p, p))
     if isinstance(V, Dilate):
-        ifn, lo, hi, caps, pts = _axial_signed(V.inner)
+        lo, hi, caps, pts = _axial_caps(V.inner)
         rt = math.sqrt(V.s)
-
-        def fn(z1, rho, ifn=ifn, s=V.s, rt=rt):
-            return s * ifn(rt * z1, rt * rho)
-
         caps = tuple((lambda z1, cap=cap: cap(rt * z1) / rt) for cap in caps)
-        return fn, lo / rt, hi / rt, caps, tuple(p / rt for p in pts)
+        return lo / rt, hi / rt, caps, tuple(p / rt for p in pts)
     if isinstance(V, Scale):
-        ifn, lo, hi, caps, pts = _axial_signed(V.inner)
-
-        def fn(z1, rho, ifn=ifn, f=V.factor):
-            return f * ifn(z1, rho)
-
-        return fn, lo, hi, caps, pts
+        return _axial_caps(V.inner)
     if isinstance(V, Sum):
-        parts = [_axial_signed(t) for t in V.terms]
-
-        def fn(z1, rho, parts=parts):
-            total = np.zeros(np.broadcast(np.asarray(z1), np.asarray(rho)).shape)
-            for pfn, *_ in parts:
-                total = total + pfn(z1, rho)
-            return total
-
-        lo = min(p[1] for p in parts)
-        hi = max(p[2] for p in parts)
-        caps = tuple(cap for p in parts for cap in p[3])
-        pts = tuple(sorted({b for p in parts for b in p[4]}))
-        return fn, lo, hi, caps, pts
+        parts = [_axial_caps(t) for t in V.terms]
+        lo = min(p[0] for p in parts)
+        hi = max(p[1] for p in parts)
+        caps = tuple(cap for p in parts for cap in p[2])
+        pts = tuple(sorted({b for p in parts for b in p[3]}))
+        return lo, hi, caps, pts
     raise BridgepotError(f"potential {type(V).__name__} has no axial reduction")
 
 
@@ -680,8 +653,7 @@ def axial_profile(V: Potential) -> AxialProfile:
     """Axial reduction of a potential symmetric about the e1 axis."""
     if V.symmetry is Symmetry.GENERAL:
         raise BridgepotError("axial_profile requires radial or axial symmetry")
-    fn, lo, hi, caps, pts = _axial_signed(V)
-    return AxialProfile(fn, lo, hi, caps, tuple(pts))
+    return AxialProfile(V, V.dimension_hint() or 2, *_axial_caps(V))
 
 
 # --------------------------------------------------------------------------

@@ -521,8 +521,8 @@ def _rect_eval(f2, rects: np.ndarray, owner: np.ndarray):
     hy = 0.5 * (rects[:, 3] - rects[:, 2])
     X = cx[:, None, None] + hx[:, None, None] * _XK[None, :, None]
     Y = cy[:, None, None] + hy[:, None, None] * _XK[None, None, :]
-    Xf = np.broadcast_to(X, (n, 15, 15)).ravel()
-    Yf = np.broadcast_to(Y, (n, 15, 15)).ravel()
+    Xf = np.repeat(X, 15, axis=2).ravel()
+    Yf = np.repeat(Y, 15, axis=1).ravel()
     vals = np.asarray(f2(owner.repeat(225), Xf, Yf), dtype=float).reshape(n, 15, 15)
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("2D integrand returned a non-finite value")

@@ -29,7 +29,6 @@ from .functionals import (
     BridgeSpec,
     SearchStrategy,
     build_compact_counterexample,
-    growth_diagnosis,
     j_transform,
     k_norm,
     k_transform,
@@ -39,7 +38,7 @@ from .functionals import (
     s_functional,
     s_norm,
 )
-from .growth import Verdict
+from .growth import Verdict, growth_diagnosis
 from .kernels import (
     as_dimension,
     explicit_constant,

@@ -219,6 +219,13 @@ def test_exit_codes():
         "--rel-tol", "1e-14", "--max-subdivisions", "1",
     )
     assert code == 1 and out == "" and "computation error" in err
+    # a search with no grid or a negative number of starts -> 2
+    for flag, val, field in (("--grid-density", "0", "grid_density"), ("--multistarts", "-1", "multistarts")):
+        code, out, err = run_cli("norm", "newton", "--potential", BALL, flag, val)
+        assert code == 2 and out == "" and f"usage error: {field}" in err
+    # the same search asked for by a suite's --cfg -> 1, with the message
+    code, out, err = run_cli("verify", "main", "--cfg", "grid_density=0")
+    assert code == 1 and out == "" and "grid_density must be >= 1" in err
     # d < 3 -> 1 with the dedicated dimension message
     code, _, err = run_cli("kernel", "g", "--t", "1", "--x", "0,0", "--y", "0,0", "--d", "2")
     assert code == 1 and "d=1 and d=2" in err

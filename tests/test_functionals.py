@@ -18,7 +18,6 @@ from bridgepot.functionals import (
     SearchStrategy,
     build_compact_counterexample,
     gaussian_convolution,
-    growth_diagnosis,
     j_transform,
     k_norm,
     k_transform,
@@ -30,7 +29,7 @@ from bridgepot.functionals import (
     sup_search,
     truncate_potential,
 )
-from bridgepot.growth import Verdict
+from bridgepot.growth import Verdict, growth_diagnosis
 from bridgepot.kernels import heat_kernel, newton_constant
 from bridgepot.potentials import (
     BallIndicator,
@@ -532,6 +531,18 @@ def test_sup_search_constant_objective():
     res = sup_search(lambda p: _exact(7.0), [AxisSpec("u", 0.1, 10.0, "log")], SearchStrategy(3, 1))
     assert res.value == 7.0
     assert res.evaluations >= 3
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"grid_density": 0}, "grid_density"), ({"multistarts": -1}, "multistarts")],
+)
+def test_search_strategy_rejects_empty_grids_and_negative_starts(kwargs, message):
+    # grid_density 0 left sup_search no grid point to rank; multistarts -1
+    # sliced order[:-1] and ran every grid point but one as a simplex start
+    with pytest.raises(ValueError, match=message):
+        SearchStrategy(**kwargs)
+    SearchStrategy(grid_density=1, multistarts=0)  # the smallest valid search
 
 
 def test_sup_search_tracks_best():

@@ -349,6 +349,52 @@ def test_radial_cells_describe_the_values(case):
 # ---------------------------------------------------------------------------
 
 
+@st.composite
+def axial_trees_and_points(draw):
+    d = draw(st.sampled_from([3, 4]))
+    V = draw(potential_trees(d))
+    assume(V.symmetry is not Symmetry.GENERAL)
+    n = draw(st.integers(1, 20))
+    z1 = draw(st.lists(st.floats(-3.0, 3.0) | st.floats(-60.0, 60.0), min_size=n, max_size=n))
+    rho = draw(st.lists(st.floats(0.0, 3.0) | st.floats(0.0, 60.0), min_size=n, max_size=n))
+    return V, d, np.array(z1), np.array(rho)
+
+
+_DILATED_POWER = (
+    Dilate(2.0, RadialPower(1.5, 0.0, 3.0, -1.0)),
+    3,
+    np.linspace(-2.5, 2.5, 21),
+    np.linspace(0.05, 1.3, 21),
+)
+
+
+@settings(max_examples=75, deadline=None, derandomize=True, database=None)
+@given(axial_trees_and_points())
+@example(_DILATED_POWER)
+def test_axial_abs_value_is_the_potentials_own(case):
+    # the axial route reads |V| from V's own values at z1 e1 + rho e2, so a
+    # dilated radial power rounds r ** p as evaluate_many does, bit for bit
+    V, d, z1, rho = case
+    Z = np.zeros((z1.size, d))
+    Z[:, 0], Z[:, 1] = z1, rho
+    got = axial_profile(V).abs_value(z1, rho)
+    assert got.tobytes() == np.abs(evaluate_many(V, Z)).tobytes()
+
+
+@settings(max_examples=75, deadline=None, derandomize=True, database=None)
+@given(axial_trees_and_points())
+def test_axial_abs_value_vanishes_past_the_caps(case):
+    # the caps and the z1 range are data beside the values: |V| is 0 above
+    # rho_cap(z1) and outside [z1_lo, z1_hi], away from rounding at the edges
+    V, _, z1, rho = case
+    prof = axial_profile(V)
+    vals = prof.abs_value(z1, rho)
+    margin = 1e-9 * (1.0 + np.abs(z1) + rho)
+    above = rho > prof.rho_cap(z1) + margin
+    outside = (z1 < prof.z1_lo - margin) | (z1 > prof.z1_hi + margin)
+    assert np.all(vals[above | outside] == 0.0)
+
+
 def test_axial_rho_cap_is_the_chord_of_an_off_centre_ball():
     prof = axial_profile(BallIndicator((3.0, 0.0, 0.0), 0.5, -1.0))
     z1 = np.array([2.4, 2.5, 2.8, 3.0, 3.5, 3.6])
