@@ -34,9 +34,7 @@ from .functionals import (
 )
 from .growth import GrowthDiagnosis, GrowthModel, Verdict, growth_diagnosis
 from .kernels import (
-    Dimension,
     bridge_density,
-    bridge_params,
     explicit_constant,
     f_estimate,
     f_integral,

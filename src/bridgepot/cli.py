@@ -48,7 +48,7 @@ from .functionals import (
 from .kernels import f_integral, heat_kernel, j_kernel, k0
 from .potentials import Symmetry, lp_halfd_norm, parse_potential
 from .quadrature import DEFAULT_SPEC_1D, DEFAULT_SPEC_2D, Estimate, QuadratureSpec, Status
-from .verify import SUITE_IDS, run_suite
+from .verify import SUITE_IDS, _search_strategy, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -369,6 +369,10 @@ def _cmd_verify(args) -> int:
         key, _, val = item.partition("=")
         cfg[key.strip()] = _parse_cfg_value(val.strip())
     cfg.setdefault("seed", args.seed)
+    try:
+        _search_strategy(cfg)  # the norm suites' search, checked before any work
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(str(exc)) from exc
     return _emit_report(run_suite(args.suite, cfg), args)
 
 

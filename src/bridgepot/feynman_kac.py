@@ -143,10 +143,6 @@ def _path_time_integrals(
     shape (len(rows), paths).
     """
     d = as_dimension(spec.d)
-    for V, _ in rows:
-        hint = V.dimension_hint()
-        if hint is not None and hint != d:
-            raise BridgepotError(f"potential pins dimension {hint}, bridge has {d}")
     steps = mc.steps
     dt = spec.t / steps
     x = np.asarray(spec.x, dtype=float)

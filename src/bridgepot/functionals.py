@@ -235,7 +235,6 @@ def _radial_isotropic_transform(
     area = sphere_area(d - 2)
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
         A = s * s + nx * nx
         B = 2.0 * s * nx
         mass = np.zeros_like(s)
@@ -279,8 +278,8 @@ def _s_integral(
 
 def _k_like_radial_transform(
     V: Potential,
-    x,
-    y,
+    xv: np.ndarray,
+    yv: np.ndarray,
     d: int,
     q: QuadratureSpec,
 ) -> Estimate:
@@ -297,8 +296,6 @@ def _k_like_radial_transform(
     result.
     """
     prof = radial_profile(V)
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    yv = np.asarray(y, dtype=float).reshape(-1)
     nx = float(np.linalg.norm(xv))
     ny = float(np.linalg.norm(yv))
     axis = yv / ny
@@ -356,7 +353,6 @@ def _k_like_radial_transform(
     inner: set[Status] = set()
 
     def s_integrand(s_vec: np.ndarray) -> np.ndarray:
-        s_vec = np.asarray(s_vec, dtype=float)
         out = np.zeros_like(s_vec)
         live = np.flatnonzero(s_vec > 0.0)
         s_live = s_vec[live]
@@ -526,7 +522,6 @@ def newton_potential(
         area = sphere_area(d - 1)
 
         def integrand(r: np.ndarray) -> np.ndarray:
-            r = np.asarray(r, dtype=float)
             shell = np.where(r >= R, r, np.maximum(R, 1e-300))
             return prof.abs_value(r) * r ** (d - 1) * shell ** (2.0 - d)
 
@@ -598,7 +593,6 @@ def j_transform(
     q = q or DEFAULT_SPEC_1D
 
     def inner(tau: np.ndarray) -> np.ndarray:
-        tau = np.asarray(tau, dtype=float)
         mu = np.sqrt(np.maximum(nx * nx + 2.0 * tau * dir_dot + tau * tau * ny * ny, 0.0))
         # constant cells: the means are closed-form, no inner status to fold
         return _radial_gaussian_mean(prof, mu, np.sqrt(2.0 * tau), d, q, set())
@@ -733,8 +727,6 @@ def _radial_gaussian_mean(
     The statuses of the means integrated by quadrature (smooth profiles)
     are added to ``inner``, for the caller to ``_fold`` into its result.
     """
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
     if prof.constant_cells is not None:
         out = np.zeros(np.broadcast(mu, sigma).shape)
         for lo, hi, val in prof.constant_cells:
@@ -829,7 +821,6 @@ def s_functional(
     inner: set[Status] = set()
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
         frac = s / t
         m = x[None, :] + frac[:, None] * (y - x)[None, :]
         mu = np.linalg.norm(m, axis=1)
@@ -857,7 +848,6 @@ def _n_halves(
         inner: set[Status] = set()
 
         def integrand(tau: np.ndarray) -> np.ndarray:
-            tau = np.asarray(tau, dtype=float)
             c = y[None, :] - (tau / t)[:, None] * (y - x)[None, :]
             mu = np.linalg.norm(c, axis=1)
             return _radial_gaussian_mean(prof, mu, np.sqrt(2.0 * elapsed(tau)), d, q, inner)
@@ -903,8 +893,6 @@ def gaussian_convolution(
     area = sphere_area(d - 2)
 
     def f2(z: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        rho = np.asarray(rho, dtype=float)
         e = -(z * z + rho * rho) / (4.0 * s) - ((z - L) ** 2 + rho * rho) / (4.0 * su) + lg
         return np.exp(np.maximum(e, -745.0)) * rho ** (d - 2)
 

@@ -29,7 +29,6 @@ Estimate; closed-form operations return plain floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,10 +45,8 @@ from .quadrature import (
 from .special import sphere_area
 
 __all__ = [
-    "Dimension",
     "as_dimension",
     "heat_kernel",
-    "bridge_params",
     "bridge_density",
     "k0",
     "j_kernel",
@@ -65,37 +62,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Dimension:
-    """Spatial dimension, restricted to d >= 3.
+def as_dimension(d) -> int:
+    """Check a spatial dimension, an integer d >= 3, and return it as an int.
 
     In dimensions 1 and 2 the bridge potential of every nontrivial V is
-    infinite, so none of the comparison machinery applies there; requesting
-    such a dimension is rejected outright.
+    infinite, so none of the comparison machinery applies there.
     """
-
-    d: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.d, int):
-            raise DimensionError(f"dimension must be an integer, got {self.d!r}")
-        if self.d in (1, 2):
-            raise DimensionError(
-                "d=1 and d=2 are not supported: the bridge potential is infinite "
-                "for every nontrivial potential there, so no comparability holds"
-            )
-        if self.d < 1:
-            raise DimensionError(f"dimension must be positive, got {self.d}")
-
-    def __int__(self) -> int:
-        return self.d
-
-
-def as_dimension(d) -> int:
-    """Validate a dimension argument (int or Dimension) and return the int."""
-    if isinstance(d, Dimension):
-        return d.d
-    return Dimension(int(d)).d
+    if not float(d).is_integer():
+        raise DimensionError(f"dimension must be an integer, got {d!r}")
+    d = int(d)
+    if d in (1, 2):
+        raise DimensionError(
+            "d=1 and d=2 are not supported: the bridge potential is infinite "
+            "for every nontrivial potential there, so no comparability holds"
+        )
+    if d < 1:
+        raise DimensionError(f"dimension must be positive, got {d}")
+    return d
 
 
 def _vec(x, d: int, name: str) -> np.ndarray:
@@ -132,30 +115,19 @@ def heat_kernel(t: float, x, y, d) -> float:
     return (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-r2 / (4.0 * t))
 
 
-def bridge_params(t: float, s: float, x, y) -> tuple[np.ndarray, float]:
-    """Mean and per-coordinate variance of the pinned bridge at time s.
+def bridge_density(t: float, s: float, x, y, z, d) -> float:
+    """Density of the bridge marginal, equal to g(s,x,z) g(t-s,z,y) / g(t,x,y).
 
-    The bridge from x (time 0) to y (time t) built from the unit-diffusion
-    used by the heat kernel has marginal N(x + (s/t)(y-x), 2 s (t-s)/t I).
+    The bridge from x (time 0) to y (time t) has marginal N(x + (s/t)(y-x), 2 s (t-s)/t I).
     """
+    d = as_dimension(d)
     if not (0.0 < s < t):
         raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.shape != yv.shape:
-        raise DimensionError("x and y must share a dimension")
-    mean = xv + (s / t) * (yv - xv)
-    variance = 2.0 * s * (t - s) / t
-    return mean, variance
-
-
-def bridge_density(t: float, s: float, x, y, z, d) -> float:
-    """Density of the bridge marginal, equal to g(s,x,z) g(t-s,z,y) / g(t,x,y)."""
-    d = as_dimension(d)
     xv = _vec(x, d, "x")
     yv = _vec(y, d, "y")
     zv = _vec(z, d, "z")
-    mean, var = bridge_params(t, s, xv, yv)
+    mean = xv + (s / t) * (yv - xv)
+    var = 2.0 * s * (t - s) / t
     r2 = float(np.sum((zv - mean) ** 2))
     return (2.0 * math.pi * var) ** (-d / 2.0) * math.exp(-r2 / (2.0 * var))
 
@@ -220,7 +192,6 @@ def f_integral(
     log_norm = [0.0]
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
         su = np.sqrt(u)
         bracket = su * b - a / su
         logf = -beta * np.log(u) - c * bracket * bracket - log_norm[0]
@@ -242,7 +213,6 @@ def _f_symmetrized(a, b, beta, c, q: QuadratureSpec) -> Estimate:
     kk = 4.0 * c * a * b
 
     def integrand(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
         sh = np.sinh(0.5 * v)
         logf = -kk * sh * sh
         return np.cosh((beta - 1.0) * v) * np.exp(np.maximum(logf, -745.0)) * (logf > -745.0)
@@ -285,7 +255,6 @@ def i_app(
     log2a = math.log(2.0 * a)
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
         root = np.sqrt(fourab + s * s)
         logf = (
             2.0 * (beta - 1.0) * (np.log(s + root) - log2a)
@@ -314,12 +283,10 @@ def explicit_constant(
 
     # piece on (0, 1): (1 v r) = 1; substitute r = w^2 to remove r^{-1/2}
     def head(w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
         return 2.0 * np.exp(-c * w * w)
 
     # piece on (1, inf): r^{g - 1/2} e^{-cr}; substitute r = e^v
     def tail(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
         logf = (g + 0.5) * v - c * np.exp(v)
         return np.exp(np.maximum(logf, -745.0)) * (logf > -745.0)
 
@@ -390,7 +357,6 @@ def j_kernel_direct(x, y, d, q: QuadratureSpec = DEFAULT_SPEC_1D) -> Estimate:
     # |x||y|/2 part of x.y/2 is kept inside the integrand so its peak value
     # is O(1), the remaining -(|x||y| - x.y)/2 factor is applied at the end
     def integrand(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
         logf = -0.5 * d * np.log(t) - nx * nx / (4.0 * t) - t * ny * ny / 4.0 + nx * ny / 2.0
         return np.exp(np.maximum(logf, -745.0)) * (logf > -745.0)
 
@@ -417,7 +383,6 @@ def _cone_profile(r: np.ndarray, c_exp: float, d: int) -> np.ndarray:
     width ~ 1/sqrt(c r), so each piece is handled with Gauss-Legendre after
     splitting at that scale.  Vectorized over r.
     """
-    r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
     width = np.minimum(math.pi, 6.0 / np.sqrt(2.0 * c_exp * r + 1.0))
     xg, wg = np.polynomial.legendre.leggauss(32)
@@ -455,7 +420,6 @@ def directional_shell_integral(
         # log-space product of the radial power and the cone profile; values
         # beyond v ~ 690 are out of double range and only occur in regimes
         # where the integrand has decayed to zero anyway
-        v = np.asarray(v, dtype=float)
         out = np.zeros_like(v)
         ok = v < 690.0
         if np.any(ok):

@@ -51,8 +51,10 @@ within tol, MAX_SUBDIVISIONS_REACHED otherwise.
 
 The half-line routine maps u = center * exp(v) and expands the v-window
 outward from the peak until probe values become negligible, so a bump whose
-location varies over many orders of magnitude is always bracketed.  All
-integrands must accept numpy arrays and return arrays of the same shape.
+location varies over many orders of magnitude is always bracketed.  Every
+integrand call passes float64 node arrays (and in lockstep an integer
+``owner`` array of the same shape), so integrands need not convert their
+arguments; an integrand returns an array of the nodes' shape.
 
 Results are reported as :class:`Estimate` values carrying an error bound and
 a convergence status; nothing here raises on slow convergence, the status
@@ -488,7 +490,6 @@ def integrate_half_line(
     v_lo, v_hi, knots = _log_map_window(f, center, must_cover)
 
     def g(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
         u = center * np.exp(v)
         return f(u) * u
 

@@ -220,7 +220,7 @@ def _suite_jk0(cfg: dict) -> tuple[list[Finding], dict]:
 
 
 def _suite_lu(cfg: dict) -> tuple[list[Finding], dict]:
-    d = as_dimension(int(cfg.get("d", 3)))
+    d = as_dimension(cfg.get("d", 3))
     ts = tuple(float(t) for t in cfg.get("ts", (0.1, 1.0, 10.0)))
     samples = int(cfg.get("samples", 20))
     seed = int(cfg.get("seed", 2024))
@@ -270,7 +270,7 @@ def _suite_lu(cfg: dict) -> tuple[list[Finding], dict]:
 
 
 def _suite_main(cfg: dict) -> tuple[list[Finding], dict]:
-    d = as_dimension(int(cfg.get("d", 3)))
+    d = as_dimension(cfg.get("d", 3))
     potentials = _potentials_from_cfg(cfg)
     strategy = _search_strategy(cfg)
     findings: list[Finding] = []
@@ -332,7 +332,7 @@ def _suite_d3(cfg: dict) -> tuple[list[Finding], dict]:
 
 
 def _suite_prop14(cfg: dict) -> tuple[list[Finding], dict]:
-    d = as_dimension(int(cfg.get("d", 4)))
+    d = as_dimension(cfg.get("d", 4))
     if d < 4:
         raise BridgepotError("prop14 requires d >= 4")
     potentials = _potentials_from_cfg(
@@ -367,7 +367,7 @@ def _suite_prop14(cfg: dict) -> tuple[list[Finding], dict]:
 
 
 def _suite_counterexample(cfg: dict) -> tuple[list[Finding], dict]:
-    d = as_dimension(int(cfg.get("d", 4)))
+    d = as_dimension(cfg.get("d", 4))
     radii = [float(r) for r in cfg.get("radii", (1e2, 1e3, 1e4, 1e5))]
     newton_points = int(cfg.get("newton_points", 25))
     n_compact = int(cfg.get("compact_terms", 2))
@@ -441,7 +441,7 @@ def _suite_counterexample(cfg: dict) -> tuple[list[Finding], dict]:
 
 
 def _suite_lemma_const(cfg: dict) -> tuple[list[Finding], dict]:
-    d = as_dimension(int(cfg.get("d", 4)))
+    d = as_dimension(cfg.get("d", 4))
     threshold = (d + 1) / 2.0
     # the default exponents straddle the threshold (2.4 and 2.6 at d = 4)
     b_div = float(cfg.get("beta_divergent", threshold - 0.1))
@@ -459,7 +459,7 @@ def _suite_lemma_const(cfg: dict) -> tuple[list[Finding], dict]:
 
 
 def _suite_gen_neg(cfg: dict) -> tuple[list[Finding], dict]:
-    d = as_dimension(int(cfg.get("d", 3)))
+    d = as_dimension(cfg.get("d", 3))
     t = float(cfg.get("t", 1.0))
     paths = int(cfg.get("paths", 100_000))
     steps = int(cfg.get("steps", 512))
@@ -498,7 +498,7 @@ def _suite_gen_neg(cfg: dict) -> tuple[list[Finding], dict]:
 
 
 def _suite_dilation(cfg: dict) -> tuple[list[Finding], dict]:
-    d = as_dimension(int(cfg.get("d", 3)))
+    d = as_dimension(cfg.get("d", 3))
     samples = int(cfg.get("samples", 50))
     seed = int(cfg.get("seed", 55))
     V = (

@@ -223,12 +223,15 @@ def test_exit_codes():
     for flag, val, field in (("--grid-density", "0", "grid_density"), ("--multistarts", "-1", "multistarts")):
         code, out, err = run_cli("norm", "newton", "--potential", BALL, flag, val)
         assert code == 2 and out == "" and f"usage error: {field}" in err
-    # the same search asked for by a suite's --cfg -> 1, with the message
+    # the same search asked for by a suite's --cfg -> 2, before the suite runs
     code, out, err = run_cli("verify", "main", "--cfg", "grid_density=0")
-    assert code == 1 and out == "" and "grid_density must be >= 1" in err
+    assert code == 2 and out == "" and "usage error: grid_density must be >= 1" in err
     # d < 3 -> 1 with the dedicated dimension message
     code, _, err = run_cli("kernel", "g", "--t", "1", "--x", "0,0", "--y", "0,0", "--d", "2")
     assert code == 1 and "d=1 and d=2" in err
+    # a non-integral suite dimension -> 1, not a run at the truncated integer
+    code, out, err = run_cli("verify", "lemma_const", "--cfg", "d=3.7")
+    assert code == 1 and out == "" and "dimension must be an integer" in err
 
 
 def test_float_round_trip_format():

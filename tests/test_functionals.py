@@ -35,8 +35,12 @@ from bridgepot.potentials import (
     BallIndicator,
     Constant,
     CounterexampleA,
+    Dilate,
     RadialPower,
+    Scale,
+    Sum,
     dilate,
+    evaluate_many,
     lp_halfd_norm,
 )
 from bridgepot.quadrature import DEFAULT_SPEC_1D, Estimate, QuadratureSpec, Status
@@ -57,6 +61,21 @@ def test_newton_ball_center(d):
     est = newton_potential(BALL, np.zeros(d), d)
     assert est.converged
     assert est.value == pytest.approx(1.0 / (2 * (d - 2)), rel=1e-10)
+
+
+def test_newton_same_sign_sum_is_the_sum_of_its_terms():
+    # two centred balls at |x| = 0.3 < both radii: sum of |amp| (a^2/2 - |x|^2/6)
+    x = np.array([0.3, 0.0, 0.0])
+    terms = (BallIndicator(None, 1.0, -1.0), BallIndicator(None, 2.0, -0.5))
+    est = newton_potential(Sum(terms), x, 3)
+    assert est.converged
+    assert est.value == pytest.approx(1.4775, rel=1e-12)
+    assert est.value == sum(newton_potential(t, x, 3).value for t in terms)
+    # a Scale over a same-sign Sum splits into scaled terms
+    flipped = (BallIndicator(None, 1.0, 1.0), BallIndicator(None, 2.0, 0.5))
+    scaled = newton_potential(Scale(-1.0, Sum(flipped)), x, 3)
+    assert scaled.value == sum(newton_potential(Scale(-1.0, t), x, 3).value for t in flipped)
+    assert scaled.value == est.value
 
 
 def test_newton_zero_potential():
@@ -242,6 +261,17 @@ def test_worst_inner_status_reaches_the_result(monkeypatch, module, transform):
     assert est.status is Status.MAX_SUBDIVISIONS_REACHED
 
 
+@pytest.mark.parametrize("d, want", [(3, 4 * math.pi), (4, 2 * math.pi**2)])
+def test_k_unbounded_radial_support_at_y0(d, want):
+    # |V| = r^-3 on r >= 1 and |x| < 1: the spherical mean of |z - x|^{2-d}
+    # is r^{2-d}, so K = |S^{d-1}| int_1^inf r^-2 dr, on the half-line route
+    x = np.zeros(d)
+    x[1] = 0.7
+    est = k_transform(RadialPower(-3.0, 1.0, math.inf, -1.0), x, np.zeros(d), d)
+    assert est.converged
+    assert est.value == pytest.approx(want, rel=1e-8)
+
+
 def test_k_d3_domination():
     for _ in range(20):
         x = RNG.standard_normal(3) * 1.5
@@ -416,6 +446,14 @@ def test_s_constant_closed_form():
     est = s_functional(Constant(-0.7), BridgeSpec(2.0, (0, 0, 0), (1, 0, 0)))
     assert est.value == pytest.approx(1.4, rel=1e-10)
     assert s_functional(Constant(0.0), BridgeSpec(1.0, (0, 0, 0), (1, 0, 0))).value == 0.0
+
+
+@pytest.mark.parametrize("t, R", [(0.3, 0.5), (1.0, 1.0), (2.0, 0.7), (5.0, 3.0)])
+def test_s_ball_at_the_centre_closed_form(t, R):
+    # d = 3, x = y = 0: int_0^t P(|Z_s| <= R) ds = t (1 - exp(-R^2 / t))
+    est = s_functional(BallIndicator(None, R, -1.0), BridgeSpec(t, (0, 0, 0), (0, 0, 0)))
+    assert est.converged
+    assert est.value == pytest.approx(t * (1.0 - math.exp(-R * R / t)), rel=1e-10)
 
 
 def test_s_swap_symmetry():
@@ -703,6 +741,23 @@ def test_truncate_potential_forms():
     assert V.support_radius() == pytest.approx(3.0)
     W = truncate_potential(CEX, 50.0)
     assert W.z1_max == 50.0
+    # every other form: the truncation is compact and is V itself inside |z| < R
+    R = 2.0
+    tail = RadialPower(-1.0, 0.5, math.inf, -1.0)
+    forms = [
+        BallIndicator(None, 3.0, -1.0),
+        Constant(0.0),
+        Dilate(2.0, tail),
+        Scale(-2.0, tail),
+        Sum((Constant(-1.0), RadialPower(-3.0, 1.0, math.inf, -1.0))),
+    ]
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((200, 3))
+    z *= (0.99 * R * rng.uniform(size=200) / np.linalg.norm(z, axis=1))[:, None]
+    for V in forms:
+        T = truncate_potential(V, R)
+        assert math.isfinite(T.support_radius())
+        assert np.array_equal(evaluate_many(T, z), evaluate_many(V, z))
 
 
 def test_growth_diagnosis_examples():

@@ -7,9 +7,8 @@ from scipy import special as sps
 
 from bridgepot.errors import DimensionError
 from bridgepot.kernels import (
-    Dimension,
+    as_dimension,
     bridge_density,
-    bridge_params,
     explicit_constant,
     f_estimate,
     f_integral,
@@ -33,15 +32,17 @@ RNG = np.random.default_rng(42)
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3.7])
 def test_low_dimensions_rejected(d):
     with pytest.raises(DimensionError):
-        Dimension(d)
+        as_dimension(d)
 
 
 def test_dimension_accepts_3_and_up():
-    assert Dimension(3).d == 3
-    assert int(Dimension(6)) == 6
+    assert as_dimension(3) == 3
+    assert as_dimension(np.int64(6)) == 6
+    d = as_dimension(4.0)
+    assert d == 4 and type(d) is int
 
 
 # ---------------------------------------------------------------------------
@@ -67,22 +68,28 @@ def test_heat_kernel_errors():
 
 
 def test_bridge_params_example():
-    mean, var = bridge_params(1.0, 0.25, [0, 0, 0], [1, 0, 0])
-    assert np.allclose(mean, [0.25, 0, 0])
-    assert var == pytest.approx(0.375)
-    with pytest.raises(ValueError):
-        bridge_params(1.0, 1.5, [0, 0, 0], [1, 0, 0])
+    # marginal N(x + (s/t)(y - x), 2 s (t - s)/t I): mean (0.25, 0, 0), variance 0.375
+    x, y = [0, 0, 0], [1, 0, 0]
+    peak = (2 * math.pi * 0.375) ** -1.5
+    assert bridge_density(1.0, 0.25, x, y, [0.25, 0, 0], 3) == pytest.approx(peak, rel=1e-14)
+    off = bridge_density(1.0, 0.25, x, y, [0.25, 0.5, 0], 3)
+    assert off == pytest.approx(peak * math.exp(-0.25 / 0.75), rel=1e-14)
+    for s in (1.5, 1.0, 0.0):
+        with pytest.raises(ValueError, match="0 < s < t"):
+            bridge_density(1.0, s, x, y, [0, 0, 0], 3)
 
 
 def test_bridge_density_normalizes():
-    # radial quadrature of the bridge marginal about its mean
+    # radial quadrature of bridge_density itself about the marginal's mean
     t, s = 1.0, 0.3
     x = np.zeros(3)
     y = np.array([1.0, 0, 0])
-    mean, var = bridge_params(t, s, x, y)
+    mean = np.array([0.3, 0, 0])
+    e = np.array([1.0, 2.0, 2.0]) / 3.0
+    var = 2 * s * (t - s) / t
 
     def radial(r):
-        dens = (2 * math.pi * var) ** -1.5 * np.exp(-(r**2) / (2 * var))
+        dens = np.array([bridge_density(t, s, x, y, mean + ri * e, 3) for ri in r])
         return 4 * math.pi * r**2 * dens
 
     est = integrate_finite(radial, 0.0, 9.0 * math.sqrt(var), TIGHT)

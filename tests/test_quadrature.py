@@ -293,3 +293,32 @@ def test_lockstep_calls_take_at_most_480_nodes_unless_one_integral():
 def test_lockstep_rejects_a_reversed_interval():
     with pytest.raises(QuadratureError):
         integrate_finite(lambda owner, x: x, [0.0, 1.0], [1.0, 0.0])
+
+
+def test_integrands_receive_float64_nodes_and_integer_owners():
+    # the contract the package's integrands rely on instead of converting
+    # their arguments; the endpoints and the center are ints on purpose
+    nodes, owners = [], []
+
+    def f(x):
+        nodes.append(x)
+        return np.exp(-x * x)
+
+    def f_many(owner, x):
+        owners.append((owner, x))
+        nodes.append(x)
+        return (owner + 1) * np.exp(-x * x)
+
+    def f2(x, y):
+        nodes.extend((x, y))
+        assert x.shape == y.shape
+        return np.exp(-x * x - y * y)
+
+    integrate_finite(f, 0, 3, breakpoints=[1])
+    integrate_finite(f_many, [0, 1, 2], [1, 3, 5])
+    integrate_half_line(f, center=1, must_cover=(1e-3, 10))
+    assert any(x.size == 3 for x in nodes)  # the window scan's probes
+    integrate_2d(f2, (0, 2), (-1, 1), xbreaks=[1])
+    assert all(type(x) is np.ndarray and x.dtype == np.float64 for x in nodes)
+    assert all(o.dtype.kind == "i" and o.shape == x.shape for o, x in owners)
+    assert set(np.concatenate([o for o, _ in owners]).tolist()) == {0, 1, 2}
