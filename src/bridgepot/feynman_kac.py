@@ -16,7 +16,12 @@ one Philox generator per call is re-keyed to each path's stream start (the
 state of a fresh ``Philox(key=...)``) and draws that path's normals in one
 call; the recurrence then runs ``_BLOCK`` grid steps at a time on a
 time-major copy of the chunk's normals, and each requested (V, absolute)
-row evaluates its potential once per block.  ``g_ratio_mc`` and ``s_mc``
+row evaluates its potential once per block.  The noise, block and position
+buffers are allocated once per call, sized for the first chunk; a shorter
+last chunk or block uses contiguous views into them, and the recurrence
+takes its endpoints as contiguous (paths, d) arrays, never as a broadcast
+row.  Each path's arithmetic is the same whatever the chunk, so the chunk
+size cannot change any bit.  ``g_ratio_mc`` and ``s_mc``
 are its one-row case; several rows (as in the ``gen_neg`` suite) share one
 draw of the paths, and each row equals its single-row call bit for bit.
 ``sample_bridge`` is the one-path case of the same recurrence.  Sample
@@ -85,17 +90,20 @@ def _stream_state(seed: int, index: int) -> dict:
 def _advance(cur: np.ndarray, block: np.ndarray, first: int, spec: BridgeSpec, steps: int) -> None:
     """Run the bridge recurrence over a time-major block of normals, in place.
 
-    ``cur`` (B, d) holds the paths at grid step ``first - 1``; ``block``
-    (n, B, d) holds the normals of steps ``first .. first + n - 1`` and is
-    overwritten by the path positions at those steps.
+    ``cur`` (B, d) holds the paths at grid step ``first - 1`` and is left as
+    it is; ``block`` (n, B, d) holds the normals of steps ``first .. first +
+    n - 1`` and is overwritten by the path positions at those steps.  The
+    endpoint y enters as a contiguous (B, d) copy: against a broadcast (d,)
+    operand numpy loops d elements at a time, several times slower.
     """
     t = spec.t
     dt = t / steps
-    y = np.asarray(spec.y, dtype=float)
     i = np.arange(first, first + block.shape[0])
     remaining = t - (i - 1) * dt
     var = 2.0 * dt * (t - i * dt) / remaining
     block *= np.sqrt(var)[:, None, None]
+    y = np.empty_like(cur)
+    y[...] = spec.y
     mean = np.empty_like(cur)
     for k in range(block.shape[0]):
         # cur = mean + sqrt(var) noise with mean = cur + (dt/remaining)(y - cur),
@@ -145,7 +153,6 @@ def _path_time_integrals(
     d = as_dimension(spec.d)
     steps = mc.steps
     dt = spec.t / steps
-    x = np.asarray(spec.x, dtype=float)
     ends = np.array([spec.x, spec.y], dtype=float)
 
     def values(V: Potential, absolute: bool, points: np.ndarray) -> np.ndarray:
@@ -158,24 +165,29 @@ def _path_time_integrals(
     gen = np.random.Generator(np.random.Philox(0))
     state = _stream_state(mc.seed, 0)
     key = state["state"]["key"]
+    width = min(_CHUNK, mc.paths)
+    noise_buf = np.empty((width, steps - 1, d))
+    block_buf = np.empty(min(_BLOCK, steps - 1) * width * d)
+    cur_buf = np.empty((width, d))
     out = np.empty((len(rows), mc.paths))
     for start in range(0, mc.paths, _CHUNK):
         stop = min(start + _CHUNK, mc.paths)
         B = stop - start
-        noise = np.empty((B, steps - 1, d))
+        noise = noise_buf[:B]
         for j in range(B):
             key[1] = start + j  # the path index; the state setter copies the key
             gen.bit_generator.state = state
             gen.standard_normal(out=noise[j])
-        cur = np.broadcast_to(x, (B, d))
+        cur = cur_buf[:B]
+        cur[...] = spec.x
         acc = np.zeros((len(rows), B))
         for first in range(1, steps, _BLOCK):
             n = min(_BLOCK, steps - first)
-            block = np.empty((n, B, d))
+            block = block_buf[: n * B * d].reshape(n, B, d)
             for c in range(d):  # a time-major copy, one coordinate at a time (faster)
                 block[:, :, c] = noise[:, first - 1 : first - 1 + n, c].T
             _advance(cur, block, first, spec, steps)
-            cur = block[-1]
+            cur[...] = block[-1]  # a copy: the next block overwrites the buffer
             for r, (V, absolute) in enumerate(rows):
                 terms = dt * values(V, absolute, block.reshape(-1, d)).reshape(n, B)
                 for k in range(n):  # in grid order, as one step at a time would
@@ -200,9 +212,11 @@ def _estimates(
 ) -> list[McEstimate]:
     """``s_mc`` of each ``(V, True)`` row and ``g_ratio_mc`` of each
     ``(V, False)`` row, all from one draw of the paths; each equals the
-    single call's result."""
-    for V, _ in rows:
-        _check_positive_part(V)
+    single call's result.  Only the ratio rows take exp, so only they need
+    a bounded positive part."""
+    for V, absolute in rows:
+        if not absolute:
+            _check_positive_part(V)
     results = []
     for (_, absolute), integrals in zip(rows, _path_time_integrals(rows, spec, mc)):
         if not absolute:
@@ -229,5 +243,6 @@ def g_ratio_mc(V: Potential, spec: BridgeSpec, mc: McConfig) -> McEstimate:
 
 def s_mc(V: Potential, spec: BridgeSpec, mc: McConfig) -> McEstimate:
     """Bridge occupation estimate of the |V| time integral (the quadrature
-    bridge potential's stochastic oracle)."""
+    bridge potential's stochastic oracle).  It takes no exp, so V may have
+    an unbounded positive part."""
     return _estimates([(V, True)], spec, mc)[0]

@@ -57,6 +57,7 @@ from .potentials import (
     SignClass,
     Sum,
     Symmetry,
+    _sq_norm,
     axial_profile,
     cell_edges,
     radial_profile,
@@ -823,7 +824,7 @@ def s_functional(
     def integrand(s: np.ndarray) -> np.ndarray:
         frac = s / t
         m = x[None, :] + frac[:, None] * (y - x)[None, :]
-        mu = np.linalg.norm(m, axis=1)
+        mu = np.sqrt(_sq_norm(m))
         var = 2.0 * s * (t - s) / t
         return _radial_gaussian_mean(prof, mu, np.sqrt(var), d, q, inner)
 
@@ -849,7 +850,7 @@ def _n_halves(
 
         def integrand(tau: np.ndarray) -> np.ndarray:
             c = y[None, :] - (tau / t)[:, None] * (y - x)[None, :]
-            mu = np.linalg.norm(c, axis=1)
+            mu = np.sqrt(_sq_norm(c))
             return _radial_gaussian_mean(prof, mu, np.sqrt(2.0 * elapsed(tau)), d, q, inner)
 
         breaks = [s for s in crossings if lo < s < hi]

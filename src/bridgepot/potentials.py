@@ -84,6 +84,30 @@ __all__ = [
 ]
 
 
+def _sq_norm(Z: np.ndarray, center: tuple[float, ...] | None = None) -> np.ndarray:
+    """Row-wise |z - center|^2 of an (n, k) array (center None: |z|^2), with
+    the bits of ``np.sum((Z - center) ** 2, axis=1)``.
+
+    Up to 7 columns the squares are added column by column, in the order
+    numpy adds them and many times faster than its short-axis reduction.
+    From 8 columns on numpy's pairwise summation groups the terms
+    differently, so ``np.sum`` itself is used there.
+    """
+    k = Z.shape[1]
+    if not 0 < k < 8:
+        D = Z if center is None else Z - np.asarray(center)
+        return np.sum(D * D, axis=1)
+
+    def square(j: int) -> np.ndarray:
+        col = Z[:, j] if center is None else Z[:, j] - center[j]
+        return col * col
+
+    total = square(0)
+    for j in range(1, k):
+        total += square(j)
+    return total
+
+
 class Symmetry(str, Enum):
     RADIAL = "radial"
     AXIAL = "axial"  # axis of symmetry is e1 in v1
@@ -187,10 +211,7 @@ class BallIndicator(Potential):
         return min(self.amplitude, 0.0), max(self.amplitude, 0.0)
 
     def _values(self, Z: np.ndarray) -> np.ndarray:
-        if self.center is None:
-            dist2 = np.sum(Z * Z, axis=1)
-        else:
-            dist2 = np.sum((Z - np.asarray(self.center)) ** 2, axis=1)
+        dist2 = _sq_norm(Z, self.center)
         return np.where(dist2 <= self.radius**2, self.amplitude, 0.0)
 
 
@@ -228,7 +249,7 @@ class RadialPower(Potential):
         return min(lo, 0.0), max(hi, 0.0)
 
     def _values(self, Z: np.ndarray) -> np.ndarray:
-        r = np.sqrt(np.sum(Z * Z, axis=1))
+        r = np.sqrt(_sq_norm(Z))
         inside = (r >= self.inner_radius) & (r <= self.outer_radius)
         out = np.zeros(Z.shape[0])
         # r = 0 is inside only when exponent >= 0, where 0^exponent is exact
@@ -265,7 +286,7 @@ class CounterexampleA(Potential):
 
     def _values(self, Z: np.ndarray) -> np.ndarray:
         z1 = Z[:, 0]
-        rho2 = np.sum(Z[:, 1:] ** 2, axis=1)
+        rho2 = _sq_norm(Z[:, 1:])
         inside = (z1 > 4.0) & (rho2 <= z1)
         if self.z1_max is not None:
             inside &= z1 <= self.z1_max

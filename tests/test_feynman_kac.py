@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from bridgepot.errors import BridgepotError
 import bridgepot.feynman_kac as fk
 from bridgepot.feynman_kac import McConfig, g_ratio_mc, s_mc, sample_bridge
 from bridgepot.functionals import BridgeSpec, s_functional, s_norm, SearchStrategy
-from bridgepot.potentials import BallIndicator, Constant, RadialPower, Sum, evaluate_many
+from bridgepot.potentials import BallIndicator, Constant, RadialPower, Scale, Sum, evaluate_many
 
 SPEC = BridgeSpec(1.0, (0, 0, 0), (1, 0, 0))
 BALL = BallIndicator(None, 1.0, -1.0)
@@ -70,19 +71,37 @@ def test_reproducibility_bit_identical():
     assert r1 == r2
 
 
-def test_chunking_invariance():
-    # per-path keying means the chunk size cannot affect results
-    import bridgepot.feynman_kac as fk
+def test_chunking_invariance(monkeypatch):
+    # per-path keying means the chunk size cannot affect results: 70 steps
+    # make two full blocks and a partial one, so the reused block buffer is
+    # refilled, and 1500 paths leave a short last chunk at either size
+    spec = BridgeSpec(0.7, (0.2, -0.1, 0.3), (0.9, 0.4, -0.2))
+    mc = McConfig(1500, 70, 5)
 
-    mc = McConfig(1500, 32, 5)
-    base = s_mc(BALL, SPEC, mc)
-    old = fk._CHUNK
+    def run():
+        single = (s_mc(BALL, spec, mc), g_ratio_mc(BALL, spec, mc))
+        shared = fk._estimates([(BALL, False), (SMALL_POS, True)], spec, mc)
+        return [repr(e) for e in (*single, *shared)]
+
+    base = run()
+    monkeypatch.setattr(fk, "_CHUNK", 17)
+    assert run() == base
+
+
+def test_pass_peak_memory():
+    # one call holds the chunk's noise and small per-block buffers, not a
+    # fresh set per chunk or block; tracemalloc counts numpy's buffers, and
+    # unlike the process's peak RSS it does not move with the allocator
+    mc = McConfig(4096, 128, 7)
+    g_ratio_mc(BALL, SPEC, mc)  # warm-up
+    tracemalloc.start()
     try:
-        fk._CHUNK = 17
-        small = s_mc(BALL, SPEC, mc)
+        g_ratio_mc(BALL, SPEC, mc)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        fk._CHUNK = old
-    assert base == small
+        tracemalloc.stop()
+    noise = fk._CHUNK * (mc.steps - 1) * 3 * 8
+    assert peak <= noise + 1.25 * 2**20
 
 
 def test_s_mc_matches_quadrature():
@@ -107,6 +126,13 @@ def test_positive_part_rejection():
     W = RadialPower(2.0, 0.0, math.inf, 0.5)
     with pytest.raises(BridgepotError):
         g_ratio_mc(W, SPEC, McConfig(10, 8, 0))
+
+
+def test_s_mc_takes_an_unbounded_positive_part():
+    # s_mc integrates |V| and takes no exp, so V and -V give the same bits
+    V = RadialPower(2.0, 0.0, math.inf, 1.0)
+    mc = McConfig(300, 16, 3)
+    assert repr(s_mc(V, SPEC, mc)) == repr(s_mc(Scale(-1.0, V), SPEC, mc))
 
 
 def test_gen_neg_bounds_small():
@@ -153,7 +179,7 @@ def _trapezoid(V, spec, steps, path, absolute):
 
 
 @pytest.mark.parametrize("seed", [0, -3, 2**63 + 5])
-@pytest.mark.parametrize("steps", [2, 33])
+@pytest.mark.parametrize("steps", [2, 33, 70])
 def test_pass_rows_equal_sample_bridge_trapezoids(seed, steps):
     # paths straddle a chunk boundary and are not a multiple of the chunk
     spec = BridgeSpec(0.7, (0.2, -0.1, 0.3), (0.9, 0.4, -0.2))

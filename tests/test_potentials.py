@@ -17,6 +17,7 @@ from bridgepot.potentials import (
     SignClass,
     Sum,
     Symmetry,
+    _sq_norm,
     axial_profile,
     dilate,
     evaluate,
@@ -342,6 +343,32 @@ def test_radial_cells_describe_the_values(case):
     # products of tiny amplitudes) rounding is absolute, not relative
     scale = np.maximum(np.abs(terms).sum(axis=0), np.finfo(float).tiny)
     assert np.all(np.abs(terms.sum(axis=0) - want) <= 1e-12 * scale)
+
+
+@st.composite
+def matrices_and_centres(draw):
+    k = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # magnitudes over ten decades, so that the order of the additions shows
+    Z = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-5, 5, (n, k))
+    center = tuple(rng.standard_normal(k)) if draw(st.booleans()) else None
+    return np.asarray(Z, order=draw(st.sampled_from("CF"))), center
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(matrices_and_centres())
+def test_sq_norm_has_the_bits_of_the_numpy_reductions(case):
+    # column by column up to 7 columns, np.sum from 8 on: either way the bits
+    # of the reductions it replaces, in C and F order, with and without a centre
+    Z, center = case
+    D = Z if center is None else Z - np.asarray(center)
+    got = _sq_norm(Z, center)
+    assert np.array_equal(got.view(np.int64), np.sum(D * D, axis=1).view(np.int64))
+    if center is not None:
+        assert np.array_equal(got.view(np.int64), np.sum((Z - np.asarray(center)) ** 2, axis=1).view(np.int64))
+    norm = np.linalg.norm(D, axis=1)
+    assert np.array_equal(np.sqrt(got).view(np.int64), norm.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
