@@ -5,7 +5,8 @@ Library layout:
     kernels      scalar kernels (heat, bridge, comparison, drifted-time) and
                  the semi-infinite integrals with their explicit constants
     potentials   closed-form potential algebra with JSON round-trip
-    functionals  integral transforms, bridge functionals, sup search, norms
+    functionals  integral transforms, bridge functionals, norms
+    search       supremum search: coarse grid plus multistart simplex
     feynman_kac  Brownian-bridge Monte Carlo oracles
     verify       named verification suites with JSON reports
     cli          the ``bridgepot`` command

@@ -26,11 +26,13 @@ piecewise-constant radial profiles it is a sum of ball overlaps, which at
 d = 3 are elementary and at other d are the noncentral chi-squared CDF,
 conditioned exactly on the transverse chi-squared law at small variance.
 
-Suprema over unbounded domains are explored with log-spaced coarse grids
-plus multistart Nelder-Mead refinement (an in-repo simplex that follows
-scipy's Nelder-Mead step for step) and are reported as certified lower
-bounds; divergence of a norm is only ever asserted through a growth
-diagnosis of truncations, never from a single quadrature.
+Norms are probed suprema (``search.sup_search``, re-exported here with its
+types), reported as certified lower bounds; divergence of a norm is only
+ever asserted through a growth diagnosis of truncations, never from a
+single quadrature.  Axial probes share their 2D integrand calls: the
+kernel norm's search computes each round's new probes in one lockstep
+``integrate_2d`` call, and the Newton potential's axial growth ladder
+integrates its shells in one.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ from .quadrature import (
     integrate_half_line,
     worst_status,
 )
+# _nelder_mead stays importable from here, where its tests reach it
+from .search import AxisSpec, ManyPoints, SearchStrategy, SupResult, _nelder_mead, sup_search  # noqa: F401
 from .special import noncentral_chi2_cdf, norm_cdf, sin_power_antideriv, sphere_area
 
 __all__ = [
@@ -377,75 +381,95 @@ def _k_like_radial_transform(
 # ===========================================================================
 
 
-def _axial_transform(
+def _axial_transforms(
     V: Potential,
-    x1: float,
-    y1: float,
+    x1: Sequence[float],
+    y1: Sequence[float],
     d: int,
     q: QuadratureSpec,
-    z1_window: tuple[float, float] = (-math.inf, math.inf),
-) -> Estimate:
-    """integral of |V|(z) k0(z - x, y) dz for axial V with x = x1 e1, y = y1 e1.
+    windows: Sequence[tuple[float, float]] | None = None,
+) -> list[Estimate]:
+    """integral of |V|(z) k0(z - x, y) dz for axial V, one per probe i.
 
-    At y1 = 0 the kernel k0 is the Newton kernel |z - x|^{2-d}, which this
-    evaluates directly.  Only z1 in ``z1_window`` (intersected with the
-    profile) is integrated.  The rho variable is normalized to the profile
-    cap (eta = rho / cap(z1)) so the domain is a rectangle; a wide positive
-    z1 range is integrated in w = log z1.
+    Probe i has x = x1[i] e1, y = y1[i] e1 and integrates only z1 in
+    windows[i] (the whole line by default) intersected with the profile.
+    At y1 = 0 the kernel k0 is the Newton kernel |z - x|^{2-d}; the one
+    log-kernel formula gives (2 - d) log u there bit for bit.  The rho
+    variable is normalized to the profile cap (eta = rho / cap(z1)) so each
+    domain is a rectangle; a wide positive z1 range is integrated in
+    w = log z1.  The probes' integrals run in lockstep, so each Estimate is
+    the one the probe gets alone.
     """
     prof = axial_profile(V)
-    z_lo = max(prof.z1_lo, z1_window[0])
-    z_hi = min(prof.z1_hi, z1_window[1])
-    if not (z_hi > z_lo):
-        return _ZERO
-    if math.isinf(z_hi):
-        raise BridgepotError(
-            "unbounded axial integrals must be truncated; diagnose growth instead"
-        )
-    area = sphere_area(d - 2)
+    if windows is None:
+        windows = [(-math.inf, math.inf)] * len(x1)
+    live, spans, breaks, use_log = [], [], [], []
+    for i, (x, (w_lo, w_hi)) in enumerate(zip(x1, windows, strict=True)):
+        z_lo = max(prof.z1_lo, w_lo)
+        z_hi = min(prof.z1_hi, w_hi)
+        if not (z_hi > z_lo):
+            continue
+        if math.isinf(z_hi):
+            raise BridgepotError(
+                "unbounded axial integrals must be truncated; diagnose growth instead"
+            )
+        z_breaks = [b for b in prof.breakpoints_z1 if z_lo < b < z_hi]
+        if z_lo < x < z_hi:
+            half = math.sqrt(max(abs(x), 1.0))
+            z_breaks.extend([x, max(z_lo, x - half), min(z_hi, x + half)])
+        logged = z_lo > 0.0 and z_hi / max(z_lo, 1e-300) > 50.0
+        if logged:
+            spans.append((math.log(z_lo), math.log(z_hi)))
+            breaks.append([math.log(b) for b in z_breaks if b > 0])
+        else:
+            spans.append((z_lo, z_hi))
+            breaks.append(z_breaks)
+        live.append(i)
+        use_log.append(logged)
+    out = [_ZERO] * len(x1)
+    if not live:
+        return out
+    px = np.array([x1[i] for i in live], dtype=float)
+    py = np.array([y1[i] for i in live], dtype=float)
+    ay, sign = np.abs(py), np.copysign(1.0, py)
+    use_log = np.array(use_log)
 
-    def physical(z1: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    def physical(owner: np.ndarray, z1: np.ndarray, rho: np.ndarray) -> np.ndarray:
         vals = prof.abs_value(z1, rho)
         good = vals > 0.0
-        out = np.zeros_like(z1)
-        if not np.any(good):
-            return out
-        vals, rho = vals[good], rho[good]
+        every = bool(np.all(good))
+        if not every:
+            if not np.any(good):
+                return np.zeros_like(z1)
+            vals, rho, z1, owner = vals[good], rho[good], z1[good], owner[good]
         rho2 = rho * rho
-        dz = z1[good] - x1
+        dz = z1 - px[owner]
         u = np.sqrt(dz * dz + rho2)
-        with np.errstate(divide="ignore"):
-            if y1 == 0.0:
-                logk = (2.0 - d) * np.log(u)
-            else:
-                w = math.copysign(1.0, y1) * dz
-                gap = np.where(w > 0.0, rho2 / (u + w), u - w)
-                logk = (
-                    -0.5 * abs(y1) * gap
-                    + (2.0 - d) * np.log(u)
-                    + 0.5 * (d - 3.0) * np.log1p(u * abs(y1))
-                )
-        out[good] = vals * np.exp(np.maximum(logk, -745.0)) * rho ** (d - 2)
-        return out
+        w = sign[owner] * dz
+        gap = np.where(w > 0.0, rho2 / (u + w), u - w)
+        a = ay[owner]
+        logk = -0.5 * a * gap + (2.0 - d) * np.log(u) + 0.5 * (d - 3.0) * np.log1p(u * a)
+        found = vals * np.exp(np.maximum(logk, -745.0)) * rho ** (d - 2)
+        if every:
+            return found
+        full = np.zeros(good.shape)
+        full[good] = found
+        return full
 
-    z_breaks = [b for b in prof.breakpoints_z1 if z_lo < b < z_hi]
-    if z_lo < x1 < z_hi:
-        half = math.sqrt(max(abs(x1), 1.0))
-        z_breaks.extend([x1, max(z_lo, x1 - half), min(z_hi, x1 + half)])
-
-    use_log = z_lo > 0.0 and z_hi / max(z_lo, 1e-300) > 50.0
-    xspan, xbreaks = (z_lo, z_hi), z_breaks
-    if use_log:
-        xspan, xbreaks = (math.log(z_lo), math.log(z_hi)), [math.log(b) for b in z_breaks if b > 0]
-
-    def f2(w: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        z1 = np.exp(w) if use_log else w
+    def f2(owner: np.ndarray, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        logged = use_log[owner]
+        # exp only where the owner is log-mapped: a linear window's w can overflow it
+        z1 = np.exp(w, out=w.copy(), where=logged)
         cap = prof.rho_cap(z1)
-        out = physical(z1, eta * cap) * cap
-        return out * z1 if use_log else out
+        found = physical(owner, z1, eta * cap) * cap
+        return np.where(logged, found * z1, found)
 
-    est = integrate_2d(f2, xspan, (0.0, 1.0), q, xbreaks=xbreaks, ybreaks=[0.5])
-    return est.scaled(area)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ests = integrate_2d(f2, spans, (0.0, 1.0), q, xbreaks=breaks, ybreaks=[0.5])
+    area = sphere_area(d - 2)
+    for i, est in zip(live, ests):
+        out[i] = est.scaled(area)
+    return out
 
 
 # ===========================================================================
@@ -477,21 +501,37 @@ def k_transform(
     DEFAULT_SPEC_2D.
     """
     d, xv, yv = _probe_args(V, d, x, y)
+    return _k_transforms(V, [xv], [yv], d, q)[0]
+
+
+def _k_transforms(
+    V: Potential, xs: list[np.ndarray], ys: list[np.ndarray], d: int, q: QuadratureSpec | None
+) -> list[Estimate]:
+    """k_transform at each probe pair (xs[i], ys[i]), already checked.
+
+    The axial route integrates every probe in one lockstep call; the radial
+    routes take the probes one by one.
+    """
     parts = _split_same_sign_sum(V)
     if len(parts) > 1:
-        return sum((k_transform(part, xv, yv, d, q) for part in parts), _ZERO)
-
-    ny = float(np.linalg.norm(yv))
+        columns = [_k_transforms(part, xs, ys, d, q) for part in parts]
+        return [sum(row, _ZERO) for row in zip(*columns)]
 
     if V.symmetry is Symmetry.RADIAL:
-        if ny == 0.0:
-            # the kernel degenerates to |z - x|^{2-d}: exact angular reduction
-            nx = float(np.linalg.norm(xv))
-            return _radial_isotropic_transform(V, nx, d, q or DEFAULT_SPEC_1D)
-        return _k_like_radial_transform(V, xv, yv, d, q or DEFAULT_SPEC_2D)
+        out = []
+        for xv, yv in zip(xs, ys):
+            if float(np.linalg.norm(yv)) == 0.0:
+                # the kernel degenerates to |z - x|^{2-d}: exact angular reduction
+                nx = float(np.linalg.norm(xv))
+                out.append(_radial_isotropic_transform(V, nx, d, q or DEFAULT_SPEC_1D))
+            else:
+                out.append(_k_like_radial_transform(V, xv, yv, d, q or DEFAULT_SPEC_2D))
+        return out
 
-    if V.symmetry is Symmetry.AXIAL and _on_axis(xv) and _on_axis(yv):
-        return _axial_transform(V, float(xv[0]), float(yv[0]), d, q or DEFAULT_SPEC_2D)
+    if V.symmetry is Symmetry.AXIAL and all(_on_axis(v) for v in (*xs, *ys)):
+        x1 = [float(xv[0]) for xv in xs]
+        y1 = [float(yv[0]) for yv in ys]
+        return _axial_transforms(V, x1, y1, d, q or DEFAULT_SPEC_2D)
 
     raise GeometryError(
         "k_transform supports radial potentials at any probes and axial "
@@ -541,17 +581,20 @@ def newton_potential(
     if V.symmetry is Symmetry.AXIAL and _on_axis(xv):
         q = q or DEFAULT_SPEC_2D
         prof = axial_profile(V)
+        x1 = float(xv[0])
         if math.isinf(prof.z1_hi):
-            # bounded verdict comes from the growth ladder over truncations
-            def shell(lo: float, hi: float) -> Estimate:
-                return _axial_transform(V, float(xv[0]), 0.0, d, q, z1_window=(lo, hi))
-
-            base = max(abs(prof.z1_lo), abs(xv[0]), 4.0)
+            # bounded verdict comes from the growth ladder over truncations;
+            # its shells are integrated in one lockstep call, read in order
+            base = max(abs(prof.z1_lo), abs(x1), 4.0)
             ladder = [base * 4.0**k for k in range(1, 13)]
-            diag = growth_diagnosis(shell_sum(shell, prof.z1_lo), ladder, rel_tol=2e-3)
+            edges = [prof.z1_lo, *ladder]
+            windows = list(zip(edges, edges[1:]))
+            n = len(windows)
+            shells = dict(zip(windows, _axial_transforms(V, [x1] * n, [0.0] * n, d, q, windows)))
+            truncated = shell_sum(lambda lo, hi: shells[lo, hi], prof.z1_lo)
+            diag = growth_diagnosis(truncated, ladder, rel_tol=2e-3)
             return verdict_estimate(diag).scaled(cd)
-        est = _axial_transform(V, float(xv[0]), 0.0, d, q)
-        return est.scaled(cd)
+        return _axial_transforms(V, [x1], [0.0], d, q)[0].scaled(cd)
 
     raise GeometryError(
         "newton_potential supports radial potentials and axial potentials "
@@ -910,220 +953,6 @@ def gaussian_convolution(
 
 
 # ===========================================================================
-# supremum search
-# ===========================================================================
-
-
-@dataclass(frozen=True)
-class AxisSpec:
-    """One search coordinate; log axes may include an exact zero probe.
-
-    [lo, hi] bounds the coarse grid.  The simplex refinement of a log axis
-    may walk on to [lo * 1e-3, hi * 1e3]: the suprema searched here are
-    often approached at an end of the axis (S grows as t -> inf), and every
-    probe, inside the bounds or not, gives a valid lower bound.
-    """
-
-    name: str
-    lo: float
-    hi: float
-    scale: str = "log"  # or "linear"
-    include_zero: bool = False
-
-    def grid(self, n: int) -> np.ndarray:
-        if self.scale == "log":
-            pts = np.exp(np.linspace(math.log(self.lo), math.log(self.hi), n))
-            if self.include_zero:
-                pts = np.concatenate([[0.0], pts])
-            return pts
-        return np.linspace(self.lo, self.hi, n)
-
-
-@dataclass(frozen=True)
-class SearchStrategy:
-    """Grid points per axis, simplex runs, and each run's iteration cap.
-
-    nm_max_iter counts as scipy's Nelder-Mead ``maxiter`` does: the loop
-    counter starts at 1, so a run takes at most nm_max_iter - 1 simplex
-    steps (``--nm-iters 5`` runs 4).  The count is kept because changing
-    it changes every search result.
-    """
-
-    grid_density: int = 7
-    multistarts: int = 3
-    nm_max_iter: int = 160
-
-    def __post_init__(self) -> None:
-        if self.grid_density < 1:
-            raise ValueError(f"grid_density must be >= 1, got {self.grid_density}")
-        if self.multistarts < 0:
-            raise ValueError(f"multistarts must be >= 0, got {self.multistarts}")
-
-
-@dataclass(frozen=True)
-class SupResult:
-    """Best probed value (a certified lower bound on the supremum).
-
-    estimate is the objective's own Estimate at the argmax probe arg;
-    evaluations counts the probes requested, repeats included.
-    """
-
-    value: float
-    estimate: Estimate
-    arg: dict
-    evaluations: int
-    strategy_trace: tuple[str, ...]
-    boundary_hit: bool
-
-
-def _nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray, max_iter: int) -> np.ndarray:
-    """Downhill simplex (Nelder & Mead, Comput. J. 7, 1965) minimising f from x0.
-
-    Step for step scipy's Nelder-Mead (``scipy.optimize.minimize`` with
-    ``method="Nelder-Mead"`` and options ``maxiter=max_iter``, ``xatol=1e-6``,
-    ``fatol=1e-12``): no bounds, fixed coefficients, the default initial
-    simplex (each coordinate in turn times 1.05, or 0.00025 where it is
-    zero), and the loop counter starting at 1, so at most max_iter - 1
-    steps are taken.  The same points are requested in the same order and
-    the same best vertex is returned.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    sim[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
-    fsim = np.array([f(v) for v in sim], dtype=float)
-    # sorted twice, as scipy does: argsort is not stable, so the second
-    # pass may reorder ties
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-
-    iterations = 1
-    while iterations < max_iter:
-        if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= 1e-6
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12
-        ):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
-                shrink = not fxc <= fxr
-            else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
-                shrink = not fxc < fsim[-1]
-            if not shrink:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0]
-
-
-def sup_search(
-    objective: Callable[[np.ndarray], Estimate],
-    domain: Sequence[AxisSpec],
-    strategy: SearchStrategy = SearchStrategy(),
-) -> SupResult:
-    """Coarse product grid plus multistart downhill-simplex refinement.
-
-    Each of the best ``multistarts`` grid points seeds one ``_nelder_mead``
-    run (scipy's Nelder-Mead, step for step) in internal coordinates: the
-    log of a log axis, a linear axis as is.  The reported value is the
-    maximum over every probed point, a lower bound on the supremum; no
-    claim of global optimality is made.  A probe whose value is not finite
-    counts as -inf.  The grid spans each axis's [lo, hi]; the simplex may
-    leave it, up to lo * 1e-3 and hi * 1e3 on a log axis (see AxisSpec).
-    boundary_hit flags a coarse-grid argmax on the outer edge of a log
-    axis, the cue for a growth diagnosis.
-
-    The objective returns an Estimate and must be a pure function of the
-    point: the grid, every simplex run and each run's closing re-evaluation
-    share one memo, keyed by the point's float64 bytes, that lives for this
-    call only, so each distinct point is computed once.  ``evaluations``
-    still counts every probe requested.
-    """
-    axes = list(domain)
-    grids = [ax.grid(strategy.grid_density) for ax in axes]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-
-    memo: dict[bytes, Estimate] = {}
-    evals = 0
-
-    def probe(pt: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        key = pt.tobytes()
-        if key not in memo:
-            memo[key] = objective(pt)
-        value = memo[key].value
-        return value if math.isfinite(value) else -math.inf
-
-    values = np.array([probe(pt) for pt in points], dtype=float)
-    order = np.argsort(values)[::-1]
-    best_idx = int(order[0])
-    best_val = float(values[best_idx])
-    best_pt = points[best_idx]
-    trace = [f"grid: {points.shape[0]} points, best {best_val:.6g}"]
-
-    boundary = False
-    for j, ax in enumerate(axes):
-        if ax.scale == "log" and best_pt[j] > 0 and (
-            best_pt[j] >= ax.hi * 0.999 or best_pt[j] <= ax.lo * 1.001
-        ):
-            boundary = True
-
-    def to_internal(pt: np.ndarray) -> np.ndarray:
-        out = []
-        for j, ax in enumerate(axes):
-            if ax.scale == "log":
-                out.append(math.log(max(pt[j], ax.lo * 1e-3)))
-            else:
-                out.append(pt[j])
-        return np.asarray(out)
-
-    def to_external(u: np.ndarray) -> np.ndarray:
-        out = []
-        for j, ax in enumerate(axes):
-            if ax.scale == "log":
-                out.append(min(max(math.exp(u[j]), ax.lo * 1e-3), ax.hi * 1e3))
-            else:
-                out.append(min(max(u[j], ax.lo), ax.hi))
-        return np.asarray(out, dtype=float)
-
-    # the grid's points are distinct: each axis grid increases
-    for start in points[order[: strategy.multistarts]]:
-        u = _nelder_mead(lambda v: -probe(to_external(v)), to_internal(start), strategy.nm_max_iter)
-        cand_pt = to_external(u)
-        cand_val = probe(cand_pt)
-        if cand_val > best_val:
-            best_val = cand_val
-            best_pt = cand_pt
-        trace.append(f"simplex from {np.round(start, 6).tolist()}: {cand_val:.6g}")
-
-    arg = {ax.name: float(v) for ax, v in zip(axes, best_pt)}
-    return SupResult(best_val, memo[best_pt.tobytes()], arg, evals, tuple(trace), boundary)
-
-
-# ===========================================================================
 # norms: sup search + divergence diagnosis
 # ===========================================================================
 
@@ -1215,7 +1044,12 @@ def k_norm(
             AxisSpec("x1", 1e-2, 1e4, "log", include_zero=True),
             AxisSpec("y1", 1e-2, 1e4, "log", include_zero=True),
         ]
-    sup = sup_search(lambda p: k_transform(V_search, *_probe_pair(d, *p), d, q), domain, strategy)
+
+    def probes(points: np.ndarray) -> list[Estimate]:
+        pairs = [_probe_args(V_search, d, *_probe_pair(d, *p))[1:] for p in points]
+        return _k_transforms(V_search, [x for x, _ in pairs], [y for _, y in pairs], d, q)
+
+    sup = sup_search(ManyPoints(probes), domain, strategy)
 
     diagnosis = None
     if sup.boundary_hit or not V.is_compact:

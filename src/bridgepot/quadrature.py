@@ -7,7 +7,8 @@ Every integral in this package goes through one of three entry points:
     integrate_half_line(f, ...)         integral over (0, inf) with a peak-
                                         centered logarithmic change of
                                         variables
-    integrate_2d(f2, xspan, yspan, ...) adaptive tensor G7/K15 rectangles
+    integrate_2d(f2, xspan, yspan, ...) adaptive tensor G7/K15 rectangles,
+                                        or many x-spans in lockstep
 
 All of them run a single globally adaptive engine (the subregion heap of
 Berntsen, Espelid & Genz, ACM TOMS 17, 1991, with the QUADPACK dqk15 rule).
@@ -15,7 +16,10 @@ A box is a tuple (lo0, hi0) in 1D or (lo0, hi0, lo1, hi1) in 2D; a box rule
 evaluates a batch of boxes in one integrand call and answers value, error,
 split axis and |f| mass for each.  The 1D rule always splits axis 0; the 2D
 rule splits the axis whose one-direction Gauss degradation differs more
-from the full rule.
+from the full rule.  Both rules give each box the same bits whatever
+batch it shares: the 2D rule's degraded sums use zero-padded Gauss weights
+over the full 15 x 15 grid, because sums over sliced operands run in an
+order that depends on the batch size and could flip a split axis.
 
 The engine is one generator per integral, ``_refine``: it yields the boxes
 it wants evaluated, is sent back their (box, value, error, axis) rows, and
@@ -29,14 +33,20 @@ Estimates; f is called as f(owner, x), where owner holds, for each node of
 x, the index i of its integral.  Each integral keeps its own heap,
 breakpoints, stop rule and budget, so each Estimate is bit-identical to the
 one the integral gets alone; nested reductions use this to evaluate the
-inner integrals of all outer nodes with a few integrand calls.  Packing
-rule: an integrand call takes whole per-integral batches in arrival order,
-up to 32 boxes (480 1D nodes); a batch is never split, so only an
-integral's own first batch can be larger.  A new integral starts only while
-nothing waits and the call has room, so only a few heaps are alive at once.
-The cap keeps the integrand's temporaries small: packing every outer node at
-once, or more than about 44 boxes per call, raised peak memory, because
-arrays of (nodes x 24) floats then pass malloc's 128 KiB mmap threshold.
+inner integrals of all outer nodes with a few integrand calls.
+``integrate_2d(f2, xspans, yspan, spec, xbreaks, ybreaks)`` is the same
+for rectangles xspans[i] x yspan, with f2(owner, x, y); the axial
+transforms use it for many probes, or many shells of one growth ladder.
+Packing rule: an integrand call takes whole per-integral batches in
+arrival order, up to 32 boxes (480 nodes) in 1D and 16 rectangles (3,600
+nodes) in 2D; a batch is never split, so only an integral's own first
+batch can be larger.  16 is the largest batch one 2D integral requests
+after its first (8 splits x 2).  A new integral starts only while nothing
+waits and the call has room, so only a few heaps are alive at once.  The
+caps keep the integrand's temporaries small: packing every outer node at
+once, or more than about 44 boxes per 1D call, raised peak memory, because
+arrays of (nodes x 24) floats then pass malloc's 128 KiB mmap threshold;
+32 rectangles per 2D call doubled the traced peak of an axial kernel norm.
 
 Stop rule.  While the summed error exceeds tol = max(abs_tol,
 rel_tol * |value|) and fewer than ``max_subdivisions`` splits are spent,
@@ -223,6 +233,9 @@ _WG = np.array(
         0.129484966168870,
     ]
 )
+# the Gauss-7 weights on the 15 Kronrod nodes, zero on the others
+_WG15 = np.zeros(15)
+_WG15[_IG] = _WG
 _EPS = np.finfo(float).eps
 
 
@@ -311,19 +324,21 @@ def _refine(boxes: list[tuple], spec: QuadratureSpec) -> Generator[list, list, E
     return Estimate(float(total), float(total_err), status)
 
 
-# the packing rule's cap on boxes per integrand call (module docstring)
+# the packing rule's caps on boxes per integrand call (module docstring):
+# 1D panels of 15 nodes, and 2D rectangles of 225
 _CALL_BOXES = 32
+_CALL_RECTS = 16
 
 
 def _drive(
-    rule: Callable, f: Callable, jobs: dict[int, list[tuple]], spec: QuadratureSpec
+    rule: Callable, f: Callable, jobs: dict[int, list[tuple]], spec: QuadratureSpec, cap: int
 ) -> dict[int, Estimate]:
     """Run one ``_refine`` per job, all advancing together.
 
     jobs maps an owner index to its initial boxes; the result maps it to
     its Estimate.  Each round makes one call ``rule(f, boxes, owner)``.  It
     takes the waiting batches whole, in arrival order, while they fit in
-    ``_CALL_BOXES`` (the first always fits), and starts a new integral only
+    ``cap`` boxes (the first always fits), and starts a new integral only
     while nothing waits and the call has room, so few heaps are alive at
     once.  A single job makes the calls it would make alone.
     """
@@ -333,16 +348,16 @@ def _drive(
     while True:
         call: list = []
         size = 0
-        while waiting and (not call or size + len(waiting[0][2]) <= _CALL_BOXES):
+        while waiting and (not call or size + len(waiting[0][2]) <= cap):
             call.append(waiting.popleft())
             size += len(call[-1][2])
-        while not waiting and size < _CALL_BOXES:
+        while not waiting and size < cap:
             job = next(fresh, None)
             if job is None:
                 break
             refiner = _refine(job[1], spec)
             item = (job[0], refiner, next(refiner))
-            if call and size + len(item[2]) > _CALL_BOXES:
+            if call and size + len(item[2]) > cap:
                 waiting.append(item)
             else:
                 call.append(item)
@@ -353,7 +368,7 @@ def _drive(
         owner = np.array([o for o, _, requested in call for _ in requested])
         value, error, axis, resabs = rule(f, np.array(boxes, dtype=float), owner)
         error = np.maximum(error, 50.0 * _EPS * resabs)
-        rows = list(zip(boxes, value, error, axis.tolist()))
+        rows = list(zip(boxes, value.tolist(), error.tolist(), axis.tolist()))
         start = 0
         for o, refiner, requested in call:
             stop = start + len(requested)
@@ -414,7 +429,7 @@ def _integrate_many(f, a, b, spec, breakpoints) -> list[Estimate]:
                 continue
             raise QuadratureError(f"bad interval [{lo}, {hi}]")
         jobs[i] = _initial_panels(lo, hi, breaks)
-    found = _drive(_panel_eval, f, jobs, spec)
+    found = _drive(_panel_eval, f, jobs, spec, _CALL_BOXES)
     return [found.get(i, Estimate(0.0, 0.0, Status.CONVERGED)) for i in range(len(a))]
 
 
@@ -529,8 +544,10 @@ def _rect_eval(f2, rects: np.ndarray, owner: np.ndarray):
         raise QuadratureError("2D integrand returned a non-finite value")
     area = hx * hy
     kk = area * np.einsum("nij,i,j->n", vals, _WK, _WK)
-    gk = area * np.einsum("nij,i,j->n", vals[:, _IG, :], _WG, _WK)
-    kg = area * np.einsum("nij,i,j->n", vals[:, :, _IG], _WK, _WG)
+    # zero-padded weights: sliced operands would sum in an order that
+    # depends on the batch size, and so could flip a box's split axis
+    gk = area * np.einsum("nij,i,j->n", vals, _WG15, _WK)
+    kg = area * np.einsum("nij,i,j->n", vals, _WK, _WG15)
     gg = area * np.einsum("nij,i,j->n", vals[:, _IG, :][:, :, _IG], _WG, _WG)
     resabs = np.abs(area) * np.einsum("nij,i,j->n", np.abs(vals), _WK, _WK)
     axis = np.where(np.abs(kk - gk) >= np.abs(kk - kg), 0, 1)
@@ -539,20 +556,41 @@ def _rect_eval(f2, rects: np.ndarray, owner: np.ndarray):
 
 def integrate_2d(
     f2: Callable,
-    xspan: tuple[float, float],
+    xspan: tuple[float, float] | Sequence[tuple[float, float]],
     yspan: tuple[float, float],
     spec: QuadratureSpec = DEFAULT_SPEC_2D,
-    xbreaks: Sequence[float] = (),
+    xbreaks: Sequence = (),
     ybreaks: Sequence[float] = (),
-) -> Estimate:
+) -> Estimate | list[Estimate]:
     """Adaptive tensor-product Gauss-Kronrod cubature on a rectangle.
 
     The breakpoints cut the rectangle into the initial grid of boxes; each
     refinement bisects a box along the axis whose one-dimensional
     degradation error is larger.  f2 must accept two equal-shape arrays
     (x, y) and return an array.
+
+    Many integrals in lockstep, as in integrate_finite: with xspan a
+    sequence of (lo, hi) spans the result is a list, one Estimate per
+    rectangle xspan[i] x yspan, each seeded by xbreaks[i] when xbreaks is
+    given; an empty span gives zero.  f2 is then called as f2(owner, x, y)
+    with each node's integral index in owner, and each Estimate equals the
+    one its integral gets alone.
     """
-    xs = sorted({xspan[0], xspan[1], *(p for p in xbreaks if xspan[0] < p < xspan[1])})
+    if np.ndim(xspan) == 1:
+        return _integrate_2d_many(lambda owner, x, y: f2(x, y), [xspan], yspan, spec, [xbreaks], ybreaks)[0]
+    xbreaks = xbreaks if len(xbreaks) else [()] * len(xspan)
+    return _integrate_2d_many(f2, xspan, yspan, spec, xbreaks, ybreaks)
+
+
+def _integrate_2d_many(f2, xspans, yspan, spec, xbreaks, ybreaks) -> list[Estimate]:
     ys = sorted({yspan[0], yspan[1], *(p for p in ybreaks if yspan[0] < p < yspan[1])})
-    rects = [(x0, x1, y0, y1) for x0, x1 in zip(xs[:-1], xs[1:]) for y0, y1 in zip(ys[:-1], ys[1:])]
-    return _drive(_rect_eval, lambda owner, x, y: f2(x, y), {0: rects}, spec)[0]
+    jobs = {}
+    for i, ((lo, hi), breaks) in enumerate(zip(xspans, xbreaks, strict=True)):
+        if not (hi > lo):
+            if hi == lo:
+                continue
+            raise QuadratureError(f"bad interval [{lo}, {hi}]")
+        xs = sorted({lo, hi, *(p for p in breaks if lo < p < hi)})
+        jobs[i] = [(x0, x1, y0, y1) for x0, x1 in zip(xs[:-1], xs[1:]) for y0, y1 in zip(ys[:-1], ys[1:])]
+    found = _drive(_rect_eval, f2, jobs, spec, _CALL_RECTS)
+    return [found.get(i, Estimate(0.0, 0.0, Status.CONVERGED)) for i in range(len(xspans))]

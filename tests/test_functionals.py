@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -670,6 +671,51 @@ def test_newton_norm_counterexample_pinned():
         "arg={'x1': 1000000000.0}, evaluations=31, strategy_trace=('grid: 5 points, best 0.5', "
         "'simplex from [1000000.0]: 0.5'), boundary_hit=True), diagnosis=None)"
     )
+
+
+def _peak_after_warm_up(call):
+    """(result of a warm-up call, tracemalloc peak of a second call)."""
+    result = call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+# the axial routes' 2D integrals advance in lockstep: the search's probes
+# share integrand calls, and so do the Newton ladder's shells.  The pins are
+# the values each probe and shell gets alone; the peaks bound what sharing
+# may hold at once (about 510 and 440 KiB with one integral per call, 1,000
+# and more with 32 boxes per 2D call)
+_LOCKSTEP_PEAK = 768 * 1024
+
+
+def test_k_norm_counterexample_pinned_and_its_peak_bounded():
+    rep, peak = _peak_after_warm_up(lambda: k_norm(CEX, 4, ladder=[1e2, 1e3, 1e4, 1e5]))
+    assert repr(rep) == (
+        "NormReport(estimate=Estimate(value=inf, error_bound=inf, status=<Status.DIVERGED: 'diverged'>), "
+        "sup=SupResult(value=55.286982812990786, estimate=Estimate(value=55.286982812990786, "
+        "error_bound=2.4266839950415114e-05, status=<Status.CONVERGED: 'converged'>), "
+        "arg={'x1': 4.441391573316246, 'y1': 2.745898370873964}, evaluations=469, "
+        "strategy_trace=('grid: 36 points, best 37.8978', 'simplex from [10.0, 0.316228]: 55.287', "
+        "'simplex from [0.316228, 10.0]: 55.287', 'simplex from [0.01, 10.0]: 55.287'), boundary_hit=False), "
+        "diagnosis=GrowthDiagnosis(radii=(100.0, 1000.0, 10000.0, 100000.0), values=(11.685328175387728, "
+        "20.00766953824926, 28.327459120350863, 36.646989864767015), model=<GrowthModel.LOG_FIT: 'log-fit'>, "
+        "slope=3.613537449860257, r_squared=0.9999999935352817, verdict=<Verdict.DIVERGENT: 'divergent'>))"
+    )
+    assert peak <= _LOCKSTEP_PEAK
+
+
+def test_newton_counterexample_pinned_and_its_peak_bounded():
+    est, peak = _peak_after_warm_up(lambda: newton_potential(CEX, [1e3, 0.0, 0.0, 0.0], 4))
+    assert repr(est) == (
+        "Estimate(value=0.4999978115960871, error_bound=1.6383211620906988e-06, "
+        "status=<Status.CONVERGED: 'converged'>)"
+    )
+    assert peak <= _LOCKSTEP_PEAK
 
 
 _SMALL_SEARCH = SearchStrategy(3, 1, 5)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as spi
 
+from bridgepot import quadrature
 from bridgepot.quadrature import (
     Estimate,
     QuadratureSpec,
@@ -286,6 +287,93 @@ def test_lockstep_calls_take_at_most_480_nodes_unless_one_integral():
     ests = integrate_finite(f, [0.0] * n, [1.0] * n, spec, breaks)
     assert all(size <= 480 or len(owners) == 1 for size, owners in calls)
     assert any(size > 480 for size, _ in calls)
+    assert any(len(owners) > 1 for _, owners in calls)
+    assert {e.status for e in ests} == {Status.CONVERGED, Status.MAX_SUBDIVISIONS_REACHED}
+
+
+@st.composite
+def families_2d(draw):
+    """Integrals of a bump at c_i plus w_i |x - k_i| over [a_i, b_i] x [0, 2].
+
+    Some x-spans are empty, some kinks are seeded as x-breakpoints and some
+    not, and the budget is small enough that some integrals converge and
+    some run out of it.
+    """
+    n = draw(st.integers(1, 12))
+    spans, centre, width, weight, kink, breaks = [], [], [], [], [], []
+    for _ in range(n):
+        lo = draw(st.floats(-2.0, 2.0))
+        hi = lo + draw(st.just(0.0) | st.floats(0.1, 3.0))
+        k = draw(st.floats(lo, hi))
+        spans.append((lo, hi))
+        centre.append(draw(st.floats(lo, hi)))
+        width.append(draw(st.floats(0.05, 1.0)))
+        weight.append(draw(st.sampled_from([0.0, 1.0])))
+        kink.append(k)
+        breaks.append([k] if draw(st.booleans()) else [])
+    spec = QuadratureSpec(rel_tol=draw(st.floats(1e-10, 1e-5)), max_subdivisions=draw(st.integers(1, 30)))
+    centre, width, weight, kink = map(np.array, (centre, width, weight, kink))
+
+    def f2(owner, x, y):
+        r2 = (x - centre[owner]) ** 2 + (y - 1.0) ** 2
+        return np.exp(-r2 / width[owner] ** 2) + weight[owner] * np.abs(x - kink[owner]) * (1.0 + y)
+
+    return f2, spans, breaks, spec
+
+
+@PROPERTY
+@given(families_2d())
+def test_2d_lockstep_equals_each_integral_alone(case):
+    f2, spans, breaks, spec = case
+    together = integrate_2d(f2, spans, (0.0, 2.0), spec, breaks, [0.5])
+    alone = [
+        integrate_2d(lambda x, y, i=i: f2(np.full(x.shape, i), x, y), spans[i], (0.0, 2.0), spec, breaks[i], [0.5])
+        for i in range(len(spans))
+    ]
+    assert list(map(repr, together)) == list(map(repr, alone))
+
+
+def test_2d_box_rule_does_not_depend_on_the_batch():
+    # value, error, split axis and |f| mass of a box are the same bits alone
+    # as in any batch; the split axis once moved with the batch size
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(-2.0, 2.0, (600, 2))
+    rects = np.column_stack([lo[:, 0], lo[:, 0] + rng.uniform(1e-3, 2.0, 600),
+                             lo[:, 1], lo[:, 1] + rng.uniform(1e-3, 2.0, 600)])
+    kink = rng.uniform(-2.0, 2.0, 600)
+
+    def f2(owner, x, y):
+        return np.cos(3.0 * x * y) + np.abs(x - kink[owner]) * np.exp(-y)
+
+    def rule(rows):
+        return [np.asarray(a).view(np.int64) for a in quadrature._rect_eval(f2, rects[rows], rows)]
+
+    alone = [rule(np.array([i])) for i in range(600)]
+    start = 0
+    while start < 600:
+        rows = np.arange(start, min(600, start + int(rng.integers(1, 40))))
+        batch = rule(rows)
+        for j, i in enumerate(rows):
+            assert [b[j] for b in batch] == [a[0] for a in alone[i]]
+        start = rows[-1] + 1
+
+
+def test_2d_lockstep_calls_take_at_most_16_boxes_unless_one_integral():
+    n = 30
+    kink = np.linspace(0.05, 0.95, n)
+    weight = np.arange(n) % 2
+    calls = []
+
+    def f2(owner, x, y):
+        calls.append((x.size, set(owner.tolist())))
+        return np.cos(3.0 * x) * (1.0 + y) + weight[owner] * np.sqrt(np.abs(x - kink[owner]))
+
+    breaks = [()] * n
+    breaks[7] = np.linspace(0.0, 1.0, 22)[1:-1]  # 42 initial boxes in one batch
+    spec = QuadratureSpec(rel_tol=1e-8, max_subdivisions=10)
+    ests = integrate_2d(f2, [(0.0, 1.0)] * n, (0.0, 1.0), spec, breaks, [0.5])
+    assert all(size <= 16 * 225 or len(owners) == 1 for size, owners in calls)
+    assert any(size > 16 * 225 for size, _ in calls)
     assert any(len(owners) > 1 for _, owners in calls)
     assert {e.status for e in ests} == {Status.CONVERGED, Status.MAX_SUBDIVISIONS_REACHED}
 
