@@ -544,8 +544,7 @@ def _rect_eval(f2, rects: np.ndarray, owner: np.ndarray):
         raise QuadratureError("2D integrand returned a non-finite value")
     area = hx * hy
     kk = area * np.einsum("nij,i,j->n", vals, _WK, _WK)
-    # zero-padded weights: sliced operands would sum in an order that
-    # depends on the batch size, and so could flip a box's split axis
+    # zero-padded weights keep the split test batch-independent (module docstring)
     gk = area * np.einsum("nij,i,j->n", vals, _WG15, _WK)
     kg = area * np.einsum("nij,i,j->n", vals, _WK, _WG15)
     gg = area * np.einsum("nij,i,j->n", vals[:, _IG, :][:, :, _IG], _WG, _WG)
@@ -572,9 +571,9 @@ def integrate_2d(
     Many integrals in lockstep, as in integrate_finite: with xspan a
     sequence of (lo, hi) spans the result is a list, one Estimate per
     rectangle xspan[i] x yspan, each seeded by xbreaks[i] when xbreaks is
-    given; an empty span gives zero.  f2 is then called as f2(owner, x, y)
-    with each node's integral index in owner, and each Estimate equals the
-    one its integral gets alone.
+    given.  f2 is then called as f2(owner, x, y) with each node's integral
+    index in owner, and each Estimate equals the one its integral gets
+    alone.  An empty rectangle gives zero; a reversed span raises.
     """
     if np.ndim(xspan) == 1:
         return _integrate_2d_many(lambda owner, x, y: f2(x, y), [xspan], yspan, spec, [xbreaks], ybreaks)[0]
@@ -583,14 +582,16 @@ def integrate_2d(
 
 
 def _integrate_2d_many(f2, xspans, yspan, spec, xbreaks, ybreaks) -> list[Estimate]:
-    ys = sorted({yspan[0], yspan[1], *(p for p in ybreaks if yspan[0] < p < yspan[1])})
+    """The lockstep form of integrate_2d; an empty rectangle gives zero."""
+    for lo, hi in (yspan, *xspans):
+        if not (hi >= lo):
+            raise QuadratureError(f"bad interval [{lo}, {hi}]")
+    y_lo, y_hi = yspan
+    ys = sorted({y_lo, y_hi, *(p for p in ybreaks if y_lo < p < y_hi)})
     jobs = {}
     for i, ((lo, hi), breaks) in enumerate(zip(xspans, xbreaks, strict=True)):
-        if not (hi > lo):
-            if hi == lo:
-                continue
-            raise QuadratureError(f"bad interval [{lo}, {hi}]")
-        xs = sorted({lo, hi, *(p for p in breaks if lo < p < hi)})
-        jobs[i] = [(x0, x1, y0, y1) for x0, x1 in zip(xs[:-1], xs[1:]) for y0, y1 in zip(ys[:-1], ys[1:])]
+        if hi > lo and y_hi > y_lo:
+            xs = sorted({lo, hi, *(p for p in breaks if lo < p < hi)})
+            jobs[i] = [(x0, x1, y0, y1) for x0, x1 in zip(xs[:-1], xs[1:]) for y0, y1 in zip(ys[:-1], ys[1:])]
     found = _drive(_rect_eval, f2, jobs, spec, _CALL_RECTS)
     return [found.get(i, Estimate(0.0, 0.0, Status.CONVERGED)) for i in range(len(xspans))]

@@ -203,10 +203,8 @@ def sup_search(
     float64 bytes, that lives for this call only, so each distinct point
     is computed once.  ``evaluations`` still counts every probe requested.
     """
-    if isinstance(objective, ManyPoints):
-        many = objective.many
-    else:
-        many = lambda points: [objective(pt) for pt in points]  # noqa: E731
+    if not isinstance(objective, ManyPoints):
+        objective = ManyPoints(lambda points, one=objective: [one(pt) for pt in points])
     axes = list(domain)
     grids = [ax.grid(strategy.grid_density) for ax in axes]
     mesh = np.meshgrid(*grids, indexing="ij")
@@ -225,7 +223,7 @@ def sup_search(
             if key not in memo:
                 new.setdefault(key, pt)
         if new:
-            memo.update(zip(new, many(np.array(list(new.values())))))
+            memo.update(zip(new, objective.many(np.array(list(new.values())))))
         values = [memo[key].value for key in keys]
         return [v if math.isfinite(v) else -math.inf for v in values]
 
@@ -263,8 +261,8 @@ def sup_search(
 
     # the grid's points are distinct: each axis grid increases
     starts = points[order[: strategy.multistarts]]
-    runs = {i: _simplex(to_internal(start), strategy.nm_max_iter) for i, start in enumerate(starts)}
-    wanted = {i: [to_external(u) for u in next(run)] for i, run in runs.items()}
+    runs = [_simplex(to_internal(start), strategy.nm_max_iter) for start in starts]
+    wanted = {i: [to_external(u) for u in next(run)] for i, run in enumerate(runs)}
     ends = {}
     while wanted:
         found = iter(probe([pt for pts in wanted.values() for pt in pts]))

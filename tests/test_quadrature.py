@@ -327,8 +327,8 @@ def test_2d_lockstep_equals_each_integral_alone(case):
     f2, spans, breaks, spec = case
     together = integrate_2d(f2, spans, (0.0, 2.0), spec, breaks, [0.5])
     alone = [
-        integrate_2d(lambda x, y, i=i: f2(np.full(x.shape, i), x, y), spans[i], (0.0, 2.0), spec, breaks[i], [0.5])
-        for i in range(len(spans))
+        integrate_2d(lambda x, y, i=i: f2(np.full(x.shape, i), x, y), span, (0.0, 2.0), spec, xbreaks, [0.5])
+        for i, (span, xbreaks) in enumerate(zip(spans, breaks))
     ]
     assert list(map(repr, together)) == list(map(repr, alone))
 
@@ -381,6 +381,23 @@ def test_2d_lockstep_calls_take_at_most_16_boxes_unless_one_integral():
 def test_lockstep_rejects_a_reversed_interval():
     with pytest.raises(QuadratureError):
         integrate_finite(lambda owner, x: x, [0.0, 1.0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("xspan, yspan", [((1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, 0.0))])
+def test_2d_rejects_a_reversed_span(xspan, yspan):
+    # both once integrated the sorted rectangle and returned +1, not -1
+    with pytest.raises(QuadratureError):
+        integrate_2d(lambda x, y: np.ones_like(x), xspan, yspan)
+    with pytest.raises(QuadratureError):
+        integrate_2d(lambda owner, x, y: np.ones_like(x), [(0.0, 1.0), xspan], yspan)
+
+
+def test_2d_empty_rectangles_give_zero():
+    zero = Estimate(0.0, 0.0, Status.CONVERGED)
+    ones = lambda owner, x, y: np.ones_like(x)
+    assert integrate_2d(ones, [(0.0, 1.0), (2.0, 2.0)], (0.0, 1.0))[1] == zero
+    assert integrate_2d(ones, [(0.0, 1.0)], (1.0, 1.0)) == [zero]
+    assert integrate_2d(lambda x, y: x, (0.0, 0.0), (0.0, 1.0)) == zero
 
 
 def test_integrands_receive_float64_nodes_and_integer_owners():
