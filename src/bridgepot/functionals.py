@@ -172,52 +172,95 @@ def _on_axis(v: np.ndarray) -> bool:
 # ===========================================================================
 
 _GL24 = np.polynomial.legendre.leggauss(24)
+_GL24_AT = 0.5 * (_GL24[0] + 1.0)  # the nodes mapped to [0, 1]
+# rows of a power cell evaluated at once: a (480, 24) float64 block is
+# 90 KiB, under malloc's 128 KiB mmap threshold however many rows a call has
+_ROW_BLOCK = 480
 
 
-def _azimuthal_cell_mass(
+def _azimuthal_mass(
     A: np.ndarray,
     B: np.ndarray,
-    lo: float,
-    hi: float,
-    amp: float,
-    expo: float,
+    cells: Sequence[tuple[float, float, float, float]],
     m: int,
 ) -> np.ndarray:
-    """int over psi of |V|(R(psi)) sin^m psi dpsi for one radial cell.
+    """Sum over cells of the int over psi of |V|(R(psi)) sin^m psi dpsi.
 
-    R(psi)^2 = A + B cos psi with B >= 0; the cell occupies radii
-    [lo, hi], which pulls back to one psi interval.  Constant cells use the
-    closed sin-power antiderivative, power cells a 24-point Gauss rule.
+    R(psi)^2 = A + B cos psi with B >= 0; a cell (lo, hi, amp, expo)
+    occupies radii [lo, hi], which pulls back to one psi interval.  Constant
+    cells use the closed sin-power antiderivative, power cells a 24-point
+    Gauss rule (``_power_cell_sums``), evaluated only on the rows whose psi
+    window is not empty and in blocks of at most ``_ROW_BLOCK`` rows, so
+    the integrand's wide temporaries are bounded by the block, not by the
+    number of nodes in the call.  What no cell changes (the degenerate-axis
+    mask, the divisor, A + B + 1) is computed once for all cells.
     """
-    lo2, hi2 = lo * lo, hi * hi if math.isfinite(hi) else math.inf
     small = B <= 1e-14 * np.maximum(A, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c_hi = np.where(small, 1.0, (np.minimum(hi2, A + B + 1.0) - A) / np.where(small, 1.0, B))
-        c_lo = np.where(small, -1.0, (lo2 - A) / np.where(small, 1.0, B))
-    # degenerate axis: R is constant sqrt(A); the cell is all or nothing
-    inside = (A >= lo2) & (A <= hi2)
-    c_hi = np.where(small, np.where(inside, 1.0, -2.0), c_hi)
-    c_lo = np.where(small, np.where(inside, -1.0, 2.0), c_lo)
-    c_hi = np.clip(c_hi, -1.0, 1.0)
-    c_lo = np.clip(c_lo, -1.0, 1.0)
-    # cos psi in [c_lo, c_hi]  <=>  psi in [arccos(c_hi), arccos(c_lo)]
-    psi_a = np.arccos(c_hi)
-    psi_b = np.arccos(np.maximum(c_lo, -1.0))
-    width = np.maximum(psi_b - psi_a, 0.0)
-    if expo == 0.0 and m <= 4:
-        anti = sin_power_antideriv(m, psi_b) - sin_power_antideriv(m, psi_a)
-        return abs(amp) * np.maximum(anti, 0.0)
-    nodes, weights = _GL24
-    psi = psi_a[:, None] + 0.5 * (nodes[None, :] + 1.0) * width[:, None]
-    w = 0.5 * width[:, None] * weights[None, :]
-    R2 = A[:, None] + B[:, None] * np.cos(psi)
-    R = np.sqrt(np.maximum(R2, 0.0))
-    cell = (R >= lo) & (R <= hi)
-    vals = np.where(cell & (R > 0), R, 1.0) ** expo
-    vals = np.where(cell, vals, 0.0)
-    if m:
-        vals = vals * np.sin(psi) ** m
-    return abs(amp) * (vals * w).sum(axis=1)
+    divisor = np.where(small, 1.0, B)
+    top = A + B + 1.0
+    mass = np.zeros_like(A)
+    for lo, hi, amp, expo in cells:
+        lo2, hi2 = lo * lo, hi * hi if math.isfinite(hi) else math.inf
+        # degenerate axis: R is constant sqrt(A); the cell is all or nothing
+        inside = (A >= lo2) & (A <= hi2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c_hi = np.where(small, np.where(inside, 1.0, -2.0), (np.minimum(hi2, top) - A) / divisor)
+            c_lo = np.where(small, np.where(inside, -1.0, 2.0), (lo2 - A) / divisor)
+        # cos psi in [c_lo, c_hi]  <=>  psi in [arccos(c_hi), arccos(c_lo)]
+        psi_a = np.arccos(np.clip(c_hi, -1.0, 1.0))
+        psi_b = np.arccos(np.clip(c_lo, -1.0, 1.0))
+        if expo == 0.0 and m <= 4:
+            anti = sin_power_antideriv(m, psi_b) - sin_power_antideriv(m, psi_a)
+            mass += abs(amp) * np.maximum(anti, 0.0)
+            continue
+        width = np.maximum(psi_b - psi_a, 0.0)
+        rows = np.flatnonzero(width != 0.0)  # an empty window adds nothing
+        sums = _power_cell_sums(A[rows], B[rows], psi_a[rows], width[rows], lo, hi, expo, m)
+        mass[rows] += abs(amp) * sums
+    return mass
+
+
+def _power_cell_sums(A, B, psi_a, width, lo, hi, expo, m) -> np.ndarray:
+    """Per row, the 24-point Gauss sum of R^expo sin^m psi over the cell's
+    psi window [psi_a, psi_a + width], nodes with R outside [lo, hi] left out.
+
+    The rows go in blocks of ``_ROW_BLOCK`` through two reused node buffers.
+    """
+    n = A.size
+    sums = np.empty(n)
+    k = min(n, _ROW_BLOCK)
+    psi, R = np.empty((k, 24)), np.empty((k, 24))
+    cell, flag = np.empty((k, 24), dtype=bool), np.empty((k, 24), dtype=bool)
+    half_width = 0.5 * width
+    for start in range(0, n, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        j = min(n - start, _ROW_BLOCK)
+        p, r, c, f = psi[:j], R[:j], cell[:j], flag[:j]
+        np.multiply(_GL24_AT, width[block, None], out=p)
+        p += psi_a[block, None]
+        np.cos(p, out=r)
+        r *= B[block, None]
+        r += A[block, None]
+        np.maximum(r, 0.0, out=r)
+        np.sqrt(r, out=r)
+        np.greater_equal(r, lo, out=c)
+        c &= np.less_equal(r, hi, out=f)
+        # R^expo on the cell, with R = 0 read as 1, and 0 off it
+        np.greater(r, 0.0, out=f)
+        f &= c
+        np.logical_not(f, out=f)
+        np.copyto(r, 1.0, where=f)
+        r **= expo
+        np.logical_not(c, out=c)
+        np.copyto(r, 0.0, where=c)
+        if m:
+            np.sin(p, out=p)
+            p **= m
+            r *= p
+        np.multiply(half_width[block, None], _GL24[1], out=p)
+        r *= p
+        r.sum(axis=1, out=sums[block])
+    return sums
 
 
 def _radial_isotropic_transform(
@@ -240,13 +283,10 @@ def _radial_isotropic_transform(
     area = sphere_area(d - 2)
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        A = s * s + nx * nx
-        B = 2.0 * s * nx
-        mass = np.zeros_like(s)
-        for lo, hi, amp, expo in cells:
-            mass += _azimuthal_cell_mass(A, B, lo, hi, amp, expo, m)
+        mass = _azimuthal_mass(s * s + nx * nx, 2.0 * s * nx, cells, m)
         with np.errstate(divide="ignore"):
-            logk = (2.0 - d) * np.log(s) + (d - 1.0) * np.log(s)
+            log_s = np.log(s)
+        logk = (2.0 - d) * log_s + (d - 1.0) * log_s
         out = np.zeros_like(s)
         good = mass > 0.0
         out[good] = mass[good] * np.exp(np.maximum(logk[good], -745.0))
@@ -323,19 +363,17 @@ def _k_like_radial_transform(
     )
 
     def alpha_integrand(s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        sin_alpha = np.sin(alpha)
         omc = 2.0 * np.sin(0.5 * alpha) ** 2
         A = s * s + nx * nx + 2.0 * s * nx * np.cos(alpha) * ct
-        B = 2.0 * s * nx * np.sin(alpha) * st
-        mass = np.zeros_like(alpha)
-        for lo, hi, amp, expo in cells:
-            mass += _azimuthal_cell_mass(A, B, lo, hi, amp, expo, m)
+        mass = _azimuthal_mass(A, 2.0 * s * nx * sin_alpha * st, cells, m)
         logk = -0.5 * s * ny * omc + (2.0 - d) * np.log(s) + 0.5 * (d - 3.0) * np.log1p(s * ny)
         out = np.zeros_like(alpha)
         good = mass > 0.0
         out[good] = (
             mass[good]
             * np.exp(np.maximum(logk[good], -745.0))
-            * np.sin(alpha[good]) ** (d - 2)
+            * sin_alpha[good] ** (d - 2)
         )
         return out
 

@@ -38,15 +38,16 @@ inner integrals of all outer nodes with a few integrand calls.
 for rectangles xspans[i] x yspan, with f2(owner, x, y); the axial
 transforms use it for many probes, or many shells of one growth ladder.
 Packing rule: an integrand call takes whole per-integral batches in
-arrival order, up to 32 boxes (480 nodes) in 1D and 16 rectangles (3,600
+arrival order, up to 64 boxes (960 nodes) in 1D and 16 rectangles (3,600
 nodes) in 2D; a batch is never split, so only an integral's own first
 batch can be larger.  16 is the largest batch one 2D integral requests
 after its first (8 splits x 2).  A new integral starts only while nothing
 waits and the call has room, so only a few heaps are alive at once.  The
-caps keep the integrand's temporaries small: packing every outer node at
-once, or more than about 44 boxes per 1D call, raised peak memory, because
-arrays of (nodes x 24) floats then pass malloc's 128 KiB mmap threshold;
-32 rectangles per 2D call doubled the traced peak of an axial kernel norm.
+caps bound how many nodes an integrand sees, not the width of its
+temporaries: the radial transforms' integrand evaluates its (nodes x 24)
+power-cell rule in blocks of rows that stay under malloc's 128 KiB mmap
+threshold whatever the call size (``functionals._ROW_BLOCK``).  32
+rectangles per 2D call doubled the traced peak of an axial kernel norm.
 
 Stop rule.  While the summed error exceeds tol = max(abs_tol,
 rel_tol * |value|) and fewer than ``max_subdivisions`` splits are spent,
@@ -326,7 +327,7 @@ def _refine(boxes: list[tuple], spec: QuadratureSpec) -> Generator[list, list, E
 
 # the packing rule's caps on boxes per integrand call (module docstring):
 # 1D panels of 15 nodes, and 2D rectangles of 225
-_CALL_BOXES = 32
+_CALL_BOXES = 64
 _CALL_RECTS = 16
 
 

@@ -45,6 +45,7 @@ from bridgepot.potentials import (
     lp_halfd_norm,
 )
 from bridgepot.quadrature import DEFAULT_SPEC_1D, Estimate, QuadratureSpec, Status
+from bridgepot.special import sin_power_antideriv
 
 RNG = np.random.default_rng(11)
 BALL = BallIndicator(None, 1.0, -1.0)
@@ -197,6 +198,83 @@ def test_k_off_centre_ball_on_the_axis(rel_tol):
     ref, _ = spi.dblquad(shell, 0.0, 1.0, 0.0, math.pi, epsabs=0.0, epsrel=1e-12)
     assert est.converged
     assert est.value == pytest.approx(ref, rel=10.0 * rel_tol)
+
+
+_GL24 = np.polynomial.legendre.leggauss(24)
+
+
+def _former_azimuthal_cell_mass(A, B, lo, hi, amp, expo, m):
+    """The per-cell kernel that ``functionals._azimuthal_mass`` replaced, kept
+    verbatim as its reference: every temporary (nodes x 24) wide."""
+    lo2, hi2 = lo * lo, hi * hi if math.isfinite(hi) else math.inf
+    small = B <= 1e-14 * np.maximum(A, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_hi = np.where(small, 1.0, (np.minimum(hi2, A + B + 1.0) - A) / np.where(small, 1.0, B))
+        c_lo = np.where(small, -1.0, (lo2 - A) / np.where(small, 1.0, B))
+    # degenerate axis: R is constant sqrt(A); the cell is all or nothing
+    inside = (A >= lo2) & (A <= hi2)
+    c_hi = np.where(small, np.where(inside, 1.0, -2.0), c_hi)
+    c_lo = np.where(small, np.where(inside, -1.0, 2.0), c_lo)
+    c_hi = np.clip(c_hi, -1.0, 1.0)
+    c_lo = np.clip(c_lo, -1.0, 1.0)
+    # cos psi in [c_lo, c_hi]  <=>  psi in [arccos(c_hi), arccos(c_lo)]
+    psi_a = np.arccos(c_hi)
+    psi_b = np.arccos(np.maximum(c_lo, -1.0))
+    width = np.maximum(psi_b - psi_a, 0.0)
+    if expo == 0.0 and m <= 4:
+        anti = sin_power_antideriv(m, psi_b) - sin_power_antideriv(m, psi_a)
+        return abs(amp) * np.maximum(anti, 0.0)
+    nodes, weights = _GL24
+    psi = psi_a[:, None] + 0.5 * (nodes[None, :] + 1.0) * width[:, None]
+    w = 0.5 * width[:, None] * weights[None, :]
+    R2 = A[:, None] + B[:, None] * np.cos(psi)
+    R = np.sqrt(np.maximum(R2, 0.0))
+    cell = (R >= lo) & (R <= hi)
+    vals = np.where(cell & (R > 0), R, 1.0) ** expo
+    vals = np.where(cell, vals, 0.0)
+    if m:
+        vals = vals * np.sin(psi) ** m
+    return abs(amp) * (vals * w).sum(axis=1)
+
+
+@st.composite
+def radial_cells(draw):
+    lo = draw(st.just(0.0) | st.floats(0.0, 2.0))
+    hi = draw(st.just(math.inf) | st.floats(0.0, 3.0).map(lambda w: lo + w))
+    amp = draw(st.floats(-2.0, 2.0))
+    return lo, hi, amp, draw(st.sampled_from([0.0, -1.0, -0.5, 1.5]))
+
+
+@st.composite
+def cell_mass_rows(draw):
+    """(A, B) of n rows R(psi)^2 = A + B cos psi, as the (s, alpha) reduction
+    forms them, with about a fifth of the rows degenerate (B at or under
+    1e-14 max(A, 1)); n straddles the row block and goes past two of them."""
+    n = draw(st.sampled_from([1, 479, 480, 481]) | st.integers(1001, 1500))
+    nx = draw(st.floats(0.0, 3.0))
+    ct = draw(st.floats(-1.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = rng.uniform(0.0, 4.0, n)
+    alpha = rng.uniform(0.0, math.pi, n)
+    A = s * s + nx * nx + 2.0 * s * nx * np.cos(alpha) * ct
+    B = 2.0 * s * nx * np.sin(alpha) * math.sqrt(1.0 - ct * ct)
+    flat = rng.random(n) < 0.2
+    B[flat] = 1e-14 * np.maximum(A[flat], 1.0) * rng.choice([0.0, 0.5, 1.0], flat.sum())
+    return A, B
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=cell_mass_rows(), cells=st.lists(radial_cells(), min_size=1, max_size=3), m=st.integers(0, 5))
+def test_azimuthal_mass_matches_the_per_cell_kernel_bit_for_bit(rows, cells, m):
+    # the shared geometry, the skipped empty psi windows and the row blocks
+    # change no bit of the summed mass; cells whose sphere range misses
+    # [lo, hi] give rows with a zero-width window
+    A, B = rows
+    want = np.zeros_like(A)
+    for lo, hi, amp, expo in cells:
+        want += _former_azimuthal_cell_mass(A, B, lo, hi, amp, expo, m)
+    got = functionals._azimuthal_mass(A, B, cells, m)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 _TRANSFORMS = {
@@ -716,6 +794,27 @@ def test_newton_counterexample_pinned_and_its_peak_bounded():
         "status=<Status.CONVERGED: 'converged'>)"
     )
     assert peak <= _LOCKSTEP_PEAK
+
+
+# the power cells' 24-node rule runs in row blocks, so a radial k_transform's
+# peak does not grow with the nodes per integrand call: about 620 KiB here
+# with the blocks, 1,320-1,500 KiB at 64 boxes per call and 2,500-2,900 at
+# 128 when every temporary is (nodes x 24) wide
+_RADIAL_PEAK = 1024 * 1024
+_POWER_PINS = {
+    3: "Estimate(value=12.063476546550694, error_bound=2.1476251606548403e-10, "
+    "status=<Status.CONVERGED: 'converged'>)",
+    4: "Estimate(value=25.683261795628635, error_bound=4.475949951290179e-06, "
+    "status=<Status.CONVERGED: 'converged'>)",
+}
+
+
+@pytest.mark.parametrize("d", sorted(_POWER_PINS))
+def test_k_power_shell_pinned_and_its_peak_bounded(d):
+    x, y = functionals._probe_pair(d, 0.6, 1.0, 0.3)
+    est, peak = _peak_after_warm_up(lambda: k_transform(POWER, x, y, d))
+    assert repr(est) == _POWER_PINS[d]
+    assert peak <= _RADIAL_PEAK
 
 
 _SMALL_SEARCH = SearchStrategy(3, 1, 5)

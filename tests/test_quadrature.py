@@ -271,7 +271,8 @@ def test_lockstep_equals_each_integral_alone(case):
     assert together == alone
 
 
-def test_lockstep_calls_take_at_most_480_nodes_unless_one_integral():
+def test_lockstep_calls_take_at_most_the_box_cap_unless_one_integral():
+    cap = quadrature._CALL_BOXES * 15  # nodes per 1D call
     n = 60
     kink = np.linspace(0.05, 0.95, n)
     weight = np.arange(n) % 2
@@ -285,8 +286,8 @@ def test_lockstep_calls_take_at_most_480_nodes_unless_one_integral():
     breaks[7] = np.linspace(0.0, 1.0, 202)[1:-1]  # ~600 initial panels in one batch
     spec = QuadratureSpec(rel_tol=1e-10, max_subdivisions=10)
     ests = integrate_finite(f, [0.0] * n, [1.0] * n, spec, breaks)
-    assert all(size <= 480 or len(owners) == 1 for size, owners in calls)
-    assert any(size > 480 for size, _ in calls)
+    assert all(size <= cap or len(owners) == 1 for size, owners in calls)
+    assert any(size > cap for size, _ in calls)
     assert any(len(owners) > 1 for _, owners in calls)
     assert {e.status for e in ests} == {Status.CONVERGED, Status.MAX_SUBDIVISIONS_REACHED}
 
