@@ -797,9 +797,9 @@ def test_newton_counterexample_pinned_and_its_peak_bounded():
 
 
 # the power cells' 24-node rule runs in row blocks, so a radial k_transform's
-# peak does not grow with the nodes per integrand call: about 620 KiB here
-# with the blocks, 1,320-1,500 KiB at 64 boxes per call and 2,500-2,900 at
-# 128 when every temporary is (nodes x 24) wide
+# peak does not grow with the nodes per integrand call: about 620 KiB with
+# the blocks (numpy 2.4, x86-64), against 1,320-1,500 KiB at 64 boxes per
+# call and 2,500-2,900 at 128 when every temporary is (nodes x 24) wide
 _RADIAL_PEAK = 1024 * 1024
 _POWER_PINS = {
     3: "Estimate(value=12.063476546550694, error_bound=2.1476251606548403e-10, "
