@@ -15,11 +15,8 @@ Library layout:
 from .errors import BridgepotError, ComputationError, DimensionError, GeometryError
 from .feynman_kac import McConfig, McEstimate, g_ratio_mc, s_mc, sample_bridge
 from .functionals import (
-    AxisSpec,
     BridgeSpec,
     NormReport,
-    SearchStrategy,
-    SupResult,
     build_compact_counterexample,
     gaussian_convolution,
     j_transform,
@@ -30,7 +27,6 @@ from .functionals import (
     newton_potential,
     s_functional,
     s_norm,
-    sup_search,
     truncate_potential,
 )
 from .growth import GrowthDiagnosis, GrowthModel, Verdict, growth_diagnosis
@@ -66,6 +62,7 @@ from .potentials import (
     serialize_potential,
 )
 from .quadrature import Estimate, QuadratureSpec, Status
+from .search import AxisSpec, SearchStrategy, SupResult, sup_search
 from .verify import Finding, SuiteReport, run_suite
 
 __version__ = "0.1.0"

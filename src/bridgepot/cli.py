@@ -36,7 +36,6 @@ from .errors import BridgepotError
 from .feynman_kac import McConfig, g_ratio_mc, s_mc
 from .functionals import (
     BridgeSpec,
-    SearchStrategy,
     j_transform,
     k_norm,
     k_transform,
@@ -45,9 +44,10 @@ from .functionals import (
     newton_potential,
     s_functional,
 )
-from .kernels import f_integral, heat_kernel, j_kernel, k0
+from .kernels import f_integral, heat_kernel, j_kernel, j_kernel_direct, k0
 from .potentials import Symmetry, lp_halfd_norm, parse_potential
 from .quadrature import DEFAULT_SPEC_1D, DEFAULT_SPEC_2D, Estimate, QuadratureSpec, Status
+from .search import SearchStrategy
 from .verify import SUITE_IDS, _search_strategy, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -248,8 +248,6 @@ def _cmd_kernel(args) -> int:
         _emit({"value": val, "error": 0.0, "status": "converged"}, args.format)
         return 0
     # j kernel
-    from .kernels import j_kernel_direct
-
     est = j_kernel_direct(x, y, d, spec) if args.direct else j_kernel(x, y, d, spec)
     _finite_or_fail(est, "J kernel")
     _emit(_estimate_record(est), args.format)

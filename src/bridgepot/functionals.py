@@ -26,13 +26,12 @@ piecewise-constant radial profiles it is a sum of ball overlaps, which at
 d = 3 are elementary and at other d are the noncentral chi-squared CDF,
 conditioned exactly on the transverse chi-squared law at small variance.
 
-Norms are probed suprema (``search.sup_search``, re-exported here with its
-types), reported as certified lower bounds; divergence of a norm is only
-ever asserted through a growth diagnosis of truncations, never from a
-single quadrature.  Axial probes share their 2D integrand calls: the
-kernel norm's search computes each round's new probes in one lockstep
-``integrate_2d`` call, and the Newton potential's axial growth ladder
-integrates its shells in one.
+Norms are probed suprema (``search.sup_search``), reported as certified
+lower bounds; divergence of a norm is only ever asserted through a growth
+diagnosis of truncations, never from a single quadrature.  Axial probes
+share their 2D integrand calls: the kernel norm's search computes each
+round's new probes in one lockstep ``integrate_2d`` call, and the Newton
+potential's axial growth ladder integrates its shells in one.
 """
 
 from __future__ import annotations
@@ -70,27 +69,22 @@ from .quadrature import (
     Estimate,
     QuadratureSpec,
     Status,
+    fold_status,
     integrate_2d,
     integrate_finite,
     integrate_half_line,
-    worst_status,
 )
-# _nelder_mead stays importable from here, where its tests reach it
-from .search import AxisSpec, ManyPoints, SearchStrategy, SupResult, _nelder_mead, sup_search  # noqa: F401
+from .search import AxisSpec, SearchStrategy, SupResult, sup_search
 from .special import noncentral_chi2_cdf, norm_cdf, sin_power_antideriv, sphere_area
 
 __all__ = [
     "BridgeSpec",
-    "SupResult",
-    "AxisSpec",
-    "SearchStrategy",
     "NormReport",
     "k_transform",
     "newton_potential",
     "j_transform",
     "n_functional",
     "s_functional",
-    "sup_search",
     "k_norm",
     "newton_norm",
     "s_norm",
@@ -129,11 +123,6 @@ class BridgeSpec:
 
 
 _ZERO = Estimate(0.0, 0.0, Status.CONVERGED)
-
-
-def _fold(est: Estimate, inner: set[Status]) -> Estimate:
-    """est with the worst of its own status and those of its inner integrals."""
-    return Estimate(est.value, est.error_bound, worst_status(est.status, *inner))
 
 
 def _probe_args(V: Potential, d, *points) -> tuple:
@@ -411,7 +400,7 @@ def _k_like_radial_transform(
             out[i] = est.value * math.exp(min((d - 1.0) * math.log(s), 700.0))
         return out
 
-    return _fold(_s_integral(s_integrand, nx, radii, prof.support, q), inner).scaled(area)
+    return fold_status(_s_integral(s_integrand, nx, radii, prof.support, q), inner).scaled(area)
 
 
 # ===========================================================================
@@ -807,7 +796,7 @@ def _radial_gaussian_mean(
     """E |V|(|Z|) with Z ~ N(m, sigma^2 I_d), |m| = mu, vectorized over probes.
 
     The statuses of the means integrated by quadrature (smooth profiles)
-    are added to ``inner``, for the caller to ``_fold`` into its result.
+    are added to ``inner``, for the caller to ``fold_status`` into its result.
     """
     if prof.constant_cells is not None:
         out = np.zeros(np.broadcast(mu, sigma).shape)
@@ -893,6 +882,23 @@ def _bridge_inputs(V: Potential, spec: BridgeSpec) -> tuple:
     return d, radial_profile(V), x, y
 
 
+def _path_integral(prof, d, a, b, t, variance, lo, hi, breaks, q) -> Estimate:
+    """int_lo^hi E |V|(Z_s) ds, Z_s ~ N(a + (s/t)(b - a), variance(s) I_d).
+
+    |V| is the radial profile prof, and breaks are the integral's
+    breakpoints in s.  The statuses of the Gaussian means integrated by
+    quadrature (``_radial_gaussian_mean``) are folded into the result.
+    """
+    inner: set[Status] = set()
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        m = a[None, :] + (s / t)[:, None] * (b - a)[None, :]
+        mu = np.sqrt(_sq_norm(m))
+        return _radial_gaussian_mean(prof, mu, np.sqrt(variance(s)), d, q, inner)
+
+    return fold_status(integrate_finite(integrand, lo, hi, q, breakpoints=breaks), inner)
+
+
 def s_functional(
     V: Potential, spec: BridgeSpec, q: QuadratureSpec = DEFAULT_SPEC_1D
 ) -> Estimate:
@@ -900,17 +906,8 @@ def s_functional(
     pinned bridge, evaluated as a time integral of Gaussian means of |V|."""
     d, prof, x, y = _bridge_inputs(V, spec)
     t = spec.t
-    inner: set[Status] = set()
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        frac = s / t
-        m = x[None, :] + frac[:, None] * (y - x)[None, :]
-        mu = np.sqrt(_sq_norm(m))
-        var = 2.0 * s * (t - s) / t
-        return _radial_gaussian_mean(prof, mu, np.sqrt(var), d, q, inner)
-
     breaks = _crossing_times(x, y, t, prof.breakpoints) + [t / 2.0]
-    return _fold(integrate_finite(integrand, 0.0, t, q, breakpoints=breaks), inner)
+    return _path_integral(prof, d, x, y, t, lambda s: 2.0 * s * (t - s) / t, 0.0, t, breaks, q)
 
 
 def _n_halves(
@@ -920,24 +917,17 @@ def _n_halves(
 
     Both integrate Gaussian means of |V| along the straight path from y to
     x, with per-coordinate variance 2 tau (first half) and 2 (t - tau)
-    (second half); each folds in the statuses of its own means.
+    (second half).
     """
     d, prof, x, y = _bridge_inputs(V, spec)
     t = spec.t
     crossings = _crossing_times(y, x, t, prof.breakpoints)
 
-    def half(elapsed: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> Estimate:
-        inner: set[Status] = set()
-
-        def integrand(tau: np.ndarray) -> np.ndarray:
-            c = y[None, :] - (tau / t)[:, None] * (y - x)[None, :]
-            mu = np.sqrt(_sq_norm(c))
-            return _radial_gaussian_mean(prof, mu, np.sqrt(2.0 * elapsed(tau)), d, q, inner)
-
+    def half(variance: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> Estimate:
         breaks = [s for s in crossings if lo < s < hi]
-        return _fold(integrate_finite(integrand, lo, hi, q, breakpoints=breaks), inner)
+        return _path_integral(prof, d, y, x, t, variance, lo, hi, breaks, q)
 
-    return half(lambda tau: tau, 0.0, t / 2.0), half(lambda tau: t - tau, t / 2.0, t)
+    return half(lambda tau: 2.0 * tau, 0.0, t / 2.0), half(lambda tau: 2.0 * (t - tau), t / 2.0, t)
 
 
 def n_functional(
@@ -1017,7 +1007,7 @@ def _norm_report(sup: SupResult, diagnosis: GrowthDiagnosis | None = None) -> No
         verdict = verdict_estimate(diagnosis)
         if verdict.value > est.value:
             est = verdict
-        est = Estimate(est.value, est.error_bound, worst_status(verdict.status, probe.status))
+        est = fold_status(est, (verdict.status, probe.status))
     return NormReport(est, sup, diagnosis)
 
 
@@ -1087,7 +1077,7 @@ def k_norm(
         pairs = [_probe_args(V_search, d, *_probe_pair(d, *p))[1:] for p in points]
         return _k_transforms(V_search, [x for x, _ in pairs], [y for _, y in pairs], d, q)
 
-    sup = sup_search(ManyPoints(probes), domain, strategy)
+    sup = sup_search(probes, domain, strategy)
 
     diagnosis = None
     if sup.boundary_hit or not V.is_compact:
@@ -1107,7 +1097,7 @@ def newton_norm(
     """Probed sup over x of the Newton potential of |V| (q as in newton_potential)."""
     d = as_dimension(d)
 
-    def objective(p: np.ndarray) -> Estimate:
+    def probe(p: np.ndarray) -> Estimate:
         x = np.zeros(d)
         x[0] = p[0]
         return newton_potential(V, x, d, q)
@@ -1116,7 +1106,7 @@ def newton_norm(
         domain = [AxisSpec("r_x", 1e-3, 1e4, "log", include_zero=True)]
     else:
         domain = [AxisSpec("x1", 4.0, 1e6, "log")]
-    return _norm_report(sup_search(objective, domain, strategy))
+    return _norm_report(sup_search(lambda points: [probe(p) for p in points], domain, strategy))
 
 
 def s_norm(
@@ -1128,7 +1118,7 @@ def s_norm(
     """Probed sup of the bridge potential over (t, x, y) for radial V."""
     d = as_dimension(d)
 
-    def objective(p: np.ndarray) -> Estimate:
+    def probe(p: np.ndarray) -> Estimate:
         x, y = _probe_pair(d, *p[1:])
         return s_functional(V, BridgeSpec(p[0], tuple(x), tuple(y)), q)
 
@@ -1138,7 +1128,7 @@ def s_norm(
         AxisSpec("r_y", 1e-2, 1e2, "log", include_zero=True),
         AxisSpec("cos_angle", -1.0, 1.0, "linear"),
     ]
-    return _norm_report(sup_search(objective, domain, strategy))
+    return _norm_report(sup_search(lambda points: [probe(p) for p in points], domain, strategy))
 
 
 # ===========================================================================

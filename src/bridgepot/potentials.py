@@ -55,8 +55,8 @@ from .quadrature import (
     Estimate,
     QuadratureSpec,
     Status,
+    fold_status,
     integrate_finite,
-    worst_status,
 )
 from .special import ball_volume, sphere_area
 
@@ -729,10 +729,9 @@ def lp_halfd_norm(
             if hi <= lo:
                 return Estimate(0.0, 0.0, Status.CONVERGED)
 
-            inner_status = Status.CONVERGED
+            inner: set[Status] = set()
 
             def outer(z1: np.ndarray) -> np.ndarray:
-                nonlocal inner_status
                 chords = np.stack([c(z1) for c in prof.rho_caps])
                 cap = chords.max(axis=0)
                 live = np.flatnonzero(cap > 0)
@@ -741,7 +740,7 @@ def lp_halfd_norm(
                 breaks = [] if len(chords) == 1 else [
                     [c for c in chords[:, i] if 0.0 < c < cap[i]] for i in live
                 ]
-                inner = integrate_finite(
+                ests = integrate_finite(
                     lambda owner, rho: prof.abs_value(z_live[owner], rho) ** p * rho ** (d - 2),
                     [0.0] * live.size,
                     cap[live],
@@ -749,14 +748,13 @@ def lp_halfd_norm(
                     breaks,
                 )
                 out = np.zeros_like(z1)
-                for i, est in zip(live, inner):
-                    inner_status = worst_status(inner_status, est.status)
+                for i, est in zip(live, ests):
+                    inner.add(est.status)
                     out[i] = est.value
                 return out
 
             est = integrate_finite(outer, lo, hi, q, breakpoints=prof.breakpoints_z1)
-            est = Estimate(est.value, est.error_bound, worst_status(est.status, inner_status))
-            return est.scaled(area)
+            return fold_status(est, inner).scaled(area)
 
         if math.isfinite(prof.z1_hi):
             raw = shell_ax(prof.z1_lo, prof.z1_hi)

@@ -94,6 +94,7 @@ __all__ = [
     "integrate_2d",
     "QuadratureError",
     "worst_status",
+    "fold_status",
 ]
 
 
@@ -117,6 +118,11 @@ _STATUS_RANK = {
 def worst_status(*statuses: Status) -> Status:
     """The worst of the given statuses (converged < max_subdivisions_reached < diverged)."""
     return max(statuses, key=_STATUS_RANK.get)
+
+
+def fold_status(est: Estimate, inner: Iterable[Status]) -> Estimate:
+    """est with the worst of its own status and those of its inner integrals."""
+    return Estimate(est.value, est.error_bound, worst_status(est.status, *inner))
 
 
 @dataclass(frozen=True)

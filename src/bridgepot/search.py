@@ -16,9 +16,8 @@ the points that are neither in the memo nor requested earlier in the same
 round, so each distinct point is computed once.  ``evaluations`` still
 counts every probe requested, repeats included, and the candidates are
 folded in start order, so the result is the one the runs give one after
-another.  A plain objective of one point is the per-point-loop case;
-``ManyPoints`` wraps an objective that computes a batch of points at once
-(``functionals.k_norm`` passes its lockstep transforms).
+another.  The objective always takes a batch: ``functionals.k_norm``
+passes its lockstep transforms, the other norms their probes in order.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 
 from .quadrature import Estimate
 
-__all__ = ["AxisSpec", "SearchStrategy", "SupResult", "ManyPoints", "sup_search"]
+__all__ = ["AxisSpec", "SearchStrategy", "SupResult", "sup_search"]
 
 
 @dataclass(frozen=True)
@@ -96,17 +95,6 @@ class SupResult:
     boundary_hit: bool
 
 
-@dataclass(frozen=True)
-class ManyPoints:
-    """A sup_search objective that computes many points in one call.
-
-    ``many`` takes an (m, k) array of distinct points and returns their m
-    Estimates, each equal to the one the point gets alone.
-    """
-
-    many: Callable[[np.ndarray], Sequence[Estimate]]
-
-
 def _simplex(x0: np.ndarray, max_iter: int) -> Generator[list, list, np.ndarray]:
     """Downhill simplex (Nelder & Mead, Comput. J. 7, 1965) minimising f from x0.
 
@@ -169,19 +157,8 @@ def _simplex(x0: np.ndarray, max_iter: int) -> Generator[list, list, np.ndarray]
     return sim[0]
 
 
-def _nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray, max_iter: int) -> np.ndarray:
-    """``_simplex`` run to its end with f called on each point in turn."""
-    run = _simplex(x0, max_iter)
-    points = next(run)
-    while True:
-        try:
-            points = run.send([f(x) for x in points])
-        except StopIteration as done:
-            return done.value
-
-
 def sup_search(
-    objective: Callable[[np.ndarray], Estimate] | ManyPoints,
+    objective: Callable[[np.ndarray], Sequence[Estimate]],
     domain: Sequence[AxisSpec],
     strategy: SearchStrategy = SearchStrategy(),
 ) -> SupResult:
@@ -197,14 +174,13 @@ def sup_search(
     boundary_hit flags a coarse-grid argmax on the outer edge of a log
     axis, the cue for a growth diagnosis.
 
-    The objective returns an Estimate, or is a ``ManyPoints``, and must be
-    a pure function of the point: the grid, every simplex run and each
-    run's closing re-evaluation share one memo, keyed by the point's
-    float64 bytes, that lives for this call only, so each distinct point
-    is computed once.  ``evaluations`` still counts every probe requested.
+    The objective takes an (m, k) array of distinct points and returns
+    their m Estimates, each a pure function of its point: the grid, every
+    simplex run and each run's closing re-evaluation share one memo, keyed
+    by the point's float64 bytes, that lives for this call only, so each
+    distinct point is computed once.  ``evaluations`` still counts every
+    probe requested.
     """
-    if not isinstance(objective, ManyPoints):
-        objective = ManyPoints(lambda points, one=objective: [one(pt) for pt in points])
     axes = list(domain)
     grids = [ax.grid(strategy.grid_density) for ax in axes]
     mesh = np.meshgrid(*grids, indexing="ij")
@@ -223,7 +199,7 @@ def sup_search(
             if key not in memo:
                 new.setdefault(key, pt)
         if new:
-            memo.update(zip(new, objective.many(np.array(list(new.values())))))
+            memo.update(zip(new, objective(np.array(list(new.values())))))
         values = [memo[key].value for key in keys]
         return [v if math.isfinite(v) else -math.inf for v in values]
 

@@ -27,7 +27,6 @@ from .errors import BridgepotError
 from .feynman_kac import McConfig, _estimates
 from .functionals import (
     BridgeSpec,
-    SearchStrategy,
     build_compact_counterexample,
     j_transform,
     k_norm,
@@ -59,6 +58,7 @@ from .potentials import (
     parse_potential,
 )
 from .quadrature import QuadratureSpec
+from .search import SearchStrategy
 
 __all__ = ["Finding", "SuiteReport", "run_suite", "SUITE_IDS"]
 

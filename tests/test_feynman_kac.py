@@ -7,8 +7,9 @@ import pytest
 from bridgepot.errors import BridgepotError
 import bridgepot.feynman_kac as fk
 from bridgepot.feynman_kac import McConfig, g_ratio_mc, s_mc, sample_bridge
-from bridgepot.functionals import BridgeSpec, s_functional, s_norm, SearchStrategy
+from bridgepot.functionals import BridgeSpec, s_functional, s_norm
 from bridgepot.potentials import BallIndicator, Constant, RadialPower, Scale, Sum, evaluate_many
+from bridgepot.search import SearchStrategy
 
 SPEC = BridgeSpec(1.0, (0, 0, 0), (1, 0, 0))
 BALL = BallIndicator(None, 1.0, -1.0)

@@ -10,13 +10,11 @@ from scipy import integrate as spi
 from scipy import optimize as spo
 from scipy import special as sps
 
-from bridgepot import functionals, potentials
+from bridgepot import functionals, potentials, search
 
 from bridgepot.errors import DimensionError, GeometryError
 from bridgepot.functionals import (
-    AxisSpec,
     BridgeSpec,
-    SearchStrategy,
     build_compact_counterexample,
     gaussian_convolution,
     j_transform,
@@ -27,7 +25,6 @@ from bridgepot.functionals import (
     newton_potential,
     s_functional,
     s_norm,
-    sup_search,
     truncate_potential,
 )
 from bridgepot.growth import Verdict, growth_diagnosis
@@ -45,6 +42,7 @@ from bridgepot.potentials import (
     lp_halfd_norm,
 )
 from bridgepot.quadrature import DEFAULT_SPEC_1D, Estimate, QuadratureSpec, Status
+from bridgepot.search import AxisSpec, SearchStrategy, sup_search
 from bridgepot.special import sin_power_antideriv
 
 RNG = np.random.default_rng(11)
@@ -612,6 +610,36 @@ def test_smooth_profile_results_pinned():
     assert got == SMOOTH_PINS
 
 
+# main's two-ball Sum at d = 4, where the ball overlaps are the chndtr form
+# (sigma > R/10) and the transverse chi-squared rule (sigma <= R/10): a short
+# bridge across the unit sphere, mostly on the transverse rule, and a long
+# one, mostly on chndtr.  Recorded by repr before S and the halves of N
+# shared one path integral; they must hold bit for bit
+TWO_BALLS_D4_PINS = {
+    ("s", 0): "Estimate(value=0.014557946770222882, error_bound=2.7194766686968494e-11, "
+    "status=<Status.CONVERGED: 'converged'>)",
+    ("n", 0): "Estimate(value=2.2599661486526115, error_bound=1.4011606292455468e-08, "
+    "status=<Status.CONVERGED: 'converged'>)",
+    ("s", 1): "Estimate(value=0.8252349858482688, error_bound=3.413515495706386e-10, "
+    "status=<Status.CONVERGED: 'converged'>)",
+    ("n", 1): "Estimate(value=106.43262759171625, error_bound=4.7417326487803885e-07, "
+    "status=<Status.CONVERGED: 'converged'>)",
+}
+
+
+def test_two_ball_bridge_functionals_d4_pinned():
+    V = Sum((BallIndicator(None, 1.0, -1.0), BallIndicator(None, 2.5, -0.25)))
+    specs = [
+        BridgeSpec(0.02, (0.97, 0.05, 0.0, 0.0), (1.02, -0.03, 0.01, 0.0)),
+        BridgeSpec(3.0, (0.3, -0.2, 0.1, 0.0), (-1.1, 1.6, 0.4, -0.2)),
+    ]
+    got = {}
+    for k, spec in enumerate(specs):
+        got["s", k] = repr(s_functional(V, spec))
+        got["n", k] = repr(n_functional(V, spec))
+    assert got == TWO_BALLS_D4_PINS
+
+
 def test_bridge_functional_monotonicity():
     spec = BridgeSpec(1.0, (0, 0, 0), (1, 0, 0))
     small = BallIndicator(None, 1.0, -0.5)
@@ -645,7 +673,9 @@ def _exact(value: float) -> Estimate:
 
 
 def test_sup_search_constant_objective():
-    res = sup_search(lambda p: _exact(7.0), [AxisSpec("u", 0.1, 10.0, "log")], SearchStrategy(3, 1))
+    res = sup_search(
+        lambda points: [_exact(7.0) for _ in points], [AxisSpec("u", 0.1, 10.0, "log")], SearchStrategy(3, 1)
+    )
     assert res.value == 7.0
     assert res.evaluations >= 3
 
@@ -664,7 +694,7 @@ def test_search_strategy_rejects_empty_grids_and_negative_starts(kwargs, message
 
 def test_sup_search_tracks_best():
     res = sup_search(
-        lambda p: _exact(-((math.log(p[0]) - 1.0) ** 2)),
+        lambda points: [_exact(-((math.log(p[0]) - 1.0) ** 2)) for p in points],
         [AxisSpec("u", 1e-2, 1e2, "log")],
         SearchStrategy(grid_density=7, multistarts=2),
     )
@@ -676,9 +706,9 @@ def test_sup_search_computes_each_distinct_point_once():
     # a monotone objective walks both simplex runs into the clamp at hi * 1e3
     computed = []
 
-    def objective(p):
-        computed.append(p.tobytes())
-        return _exact(math.log1p(p[0]))
+    def objective(points):
+        computed.extend(p.tobytes() for p in points)
+        return [_exact(math.log1p(p[0])) for p in points]
 
     res = sup_search(
         objective,
@@ -711,6 +741,17 @@ _NM_OBJECTIVES = {
 }
 
 
+def _drive_simplex(f, x0, max_iter):
+    """``search._simplex`` run to its end, f called on each requested point in turn."""
+    run = search._simplex(x0, max_iter)
+    points = next(run)
+    while True:
+        try:
+            points = run.send([f(x) for x in points])
+        except StopIteration as done:
+            return done.value
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
     x0=st.integers(1, 4).flatmap(
@@ -733,7 +774,7 @@ def test_nelder_mead_follows_scipy(x0, max_iter, kind):
         return requested, x.tobytes()
 
     options = {"maxiter": max_iter, "xatol": 1e-6, "fatol": 1e-12}
-    ours = run(lambda f: functionals._nelder_mead(f, np.array(x0), max_iter))
+    ours = run(lambda f: _drive_simplex(f, np.array(x0), max_iter))
     theirs = run(lambda f: spo.minimize(f, np.array(x0), method="Nelder-Mead", options=options).x)
     assert ours == theirs
 

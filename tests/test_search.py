@@ -1,15 +1,24 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize as spo
 
+import bridgepot
 from bridgepot.quadrature import Estimate, Status
-from bridgepot.search import AxisSpec, ManyPoints, SearchStrategy, SupResult, _nelder_mead, sup_search
+from bridgepot.search import AxisSpec, SearchStrategy, SupResult, sup_search
 
 
 def _sequential_sup_search(objective, domain, strategy):
-    """The reference: the grid, then each simplex run to its end, one probe at a time."""
+    """The reference: the grid, then each simplex run to its end, one probe at a time.
+
+    The runs are scipy's Nelder-Mead, which the search's own simplex follows
+    step for step.
+    """
     axes = list(domain)
     grids = [ax.grid(strategy.grid_density) for ax in axes]
     mesh = np.meshgrid(*grids, indexing="ij")
@@ -59,8 +68,11 @@ def _sequential_sup_search(objective, domain, strategy):
                 out.append(min(max(u[j], ax.lo), ax.hi))
         return np.asarray(out, dtype=float)
 
+    options = {"maxiter": strategy.nm_max_iter, "xatol": 1e-6, "fatol": 1e-12}
     for start in points[order[: strategy.multistarts]]:
-        u = _nelder_mead(lambda v: -probe(to_external(v)), to_internal(start), strategy.nm_max_iter)
+        u = spo.minimize(
+            lambda v: -probe(to_external(v)), to_internal(start), method="Nelder-Mead", options=options
+        ).x
         cand_pt = to_external(u)
         cand_val = probe(cand_pt)
         if cand_val > best_val:
@@ -129,7 +141,18 @@ def test_lockstep_search_equals_the_sequential_one(kind, axes, grid_density, mul
 
     with np.errstate(invalid="ignore"):  # inf - inf in the simplex's stopping test
         want = _sequential_sup_search(objective, domain, strategy)
-        assert repr(sup_search(ManyPoints(many), domain, strategy)) == repr(want)
-        assert repr(sup_search(objective, domain, strategy)) == repr(want)
+        assert repr(sup_search(many, domain, strategy)) == repr(want)
     computed = [key for batch in batches for key in batch]
     assert len(computed) == len(set(computed))
+
+
+@pytest.mark.parametrize("name", [info.name for info in pkgutil.iter_modules(bridgepot.__path__)])
+def test_modules_export_only_their_own_names(name):
+    # each name is exported by the module that defines it (the package's
+    # __init__ gathers them); names without a __module__, such as tuples of
+    # ids, are their module's own
+    module = importlib.import_module(f"bridgepot.{name}")
+    foreign = [
+        n for n in module.__all__ if getattr(getattr(module, n), "__module__", module.__name__) != module.__name__
+    ]
+    assert foreign == []
