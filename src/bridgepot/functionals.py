@@ -745,7 +745,8 @@ def _ball_overlap(R: float, mu, sigma, d: int) -> np.ndarray:
     top = np.sqrt(np.maximum(R * R - s2c, 0.0)) + m  # rho + mu
     with np.errstate(divide="ignore", invalid="ignore"):
         hit = norm_cdf(((R - m) * (R + m) - s2c) / (top * s)) - norm_cdf(-top / s)
-    out[~wide] = np.where(s2c < R * R, hit, 0.0) @ w
+    # einsum, not @: BLAS dgemv rounds rows apart by their place in the batch
+    out[~wide] = np.einsum("ij,j->i", np.where(s2c < R * R, hit, 0.0), w)
     return out
 
 

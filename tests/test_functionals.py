@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -494,6 +497,20 @@ def test_ball_overlap_finite_down_to_tiny_sigma(d):
         assert np.all(np.isfinite(vals)) and np.all((vals >= 0.0) & (vals <= 1.0))
 
 
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_ball_overlap_rows_do_not_depend_on_the_batch(d):
+    # a lockstep integrand call packs the nodes of many integrals, so each
+    # overlap must get the bits it gets alone: the transverse rule, near the sphere
+    rng = np.random.default_rng(d)
+    R = 1.3
+    sigma = R * 10.0 ** rng.uniform(-3.0, -1.0, 17)
+    mu = R + sigma * rng.uniform(-3.0, 3.0, 17)
+    alone = np.array([functionals._ball_overlap(R, m, s, d) for m, s in zip(mu, sigma)])
+    for n in range(1, 18):
+        got = functionals._ball_overlap(R, mu[:n], sigma[:n], d)
+        assert np.array_equal(got.view(np.int64), alone[:n].view(np.int64)), n
+
+
 def test_ball_overlap_d3_closed_form_matches_chndtr():
     for _, R, mu, sigma in _overlap_points(3, 0.1, 3.0, 12):
         got = float(functionals._ball_overlap(R, mu, sigma, 3))
@@ -613,31 +630,49 @@ def test_smooth_profile_results_pinned():
 # main's two-ball Sum at d = 4, where the ball overlaps are the chndtr form
 # (sigma > R/10) and the transverse chi-squared rule (sigma <= R/10): a short
 # bridge across the unit sphere, mostly on the transverse rule, and a long
-# one, mostly on chndtr.  Recorded by repr before S and the halves of N
-# shared one path integral; they must hold bit for bit
+# one, mostly on chndtr.  Recorded by repr once the transverse rule's sum
+# stopped depending on the batch; they must hold bit for bit
+TWO_BALLS_D4 = Sum((BallIndicator(None, 1.0, -1.0), BallIndicator(None, 2.5, -0.25)))
+TWO_BALLS_D4_SPECS = [
+    BridgeSpec(0.02, (0.97, 0.05, 0.0, 0.0), (1.02, -0.03, 0.01, 0.0)),
+    BridgeSpec(3.0, (0.3, -0.2, 0.1, 0.0), (-1.1, 1.6, 0.4, -0.2)),
+]
 TWO_BALLS_D4_PINS = {
-    ("s", 0): "Estimate(value=0.014557946770222882, error_bound=2.7194766686968494e-11, "
+    ("s", 0): "Estimate(value=0.01455794677022288, error_bound=2.7194767161306944e-11, "
     "status=<Status.CONVERGED: 'converged'>)",
-    ("n", 0): "Estimate(value=2.2599661486526115, error_bound=1.4011606292455468e-08, "
+    ("n", 0): "Estimate(value=2.2599661486526115, error_bound=1.401160628603508e-08, "
     "status=<Status.CONVERGED: 'converged'>)",
-    ("s", 1): "Estimate(value=0.8252349858482688, error_bound=3.413515495706386e-10, "
+    ("s", 1): "Estimate(value=0.8252349858482688, error_bound=3.4135155043800035e-10, "
     "status=<Status.CONVERGED: 'converged'>)",
     ("n", 1): "Estimate(value=106.43262759171625, error_bound=4.7417326487803885e-07, "
     "status=<Status.CONVERGED: 'converged'>)",
 }
 
 
-def test_two_ball_bridge_functionals_d4_pinned():
-    V = Sum((BallIndicator(None, 1.0, -1.0), BallIndicator(None, 2.5, -0.25)))
-    specs = [
-        BridgeSpec(0.02, (0.97, 0.05, 0.0, 0.0), (1.02, -0.03, 0.01, 0.0)),
-        BridgeSpec(3.0, (0.3, -0.2, 0.1, 0.0), (-1.1, 1.6, 0.4, -0.2)),
-    ]
+def _two_ball_d4_reprs() -> dict:
     got = {}
-    for k, spec in enumerate(specs):
-        got["s", k] = repr(s_functional(V, spec))
-        got["n", k] = repr(n_functional(V, spec))
-    assert got == TWO_BALLS_D4_PINS
+    for k, spec in enumerate(TWO_BALLS_D4_SPECS):
+        got["s", k] = repr(s_functional(TWO_BALLS_D4, spec))
+        got["n", k] = repr(n_functional(TWO_BALLS_D4, spec))
+    return got
+
+
+def test_two_ball_bridge_functionals_d4_pinned():
+    assert _two_ball_d4_reprs() == TWO_BALLS_D4_PINS
+
+
+def test_two_ball_d4_pins_hold_without_avx512():
+    # the pins must not depend on numpy's SIMD dispatch (README); rerun them
+    # in a fresh interpreter with the AVX-512 loops switched off
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(functionals.__file__)), os.path.dirname(__file__)]
+    )
+    code = "import test_functionals as t; print(repr(sorted(t._two_ball_d4_reprs().items())))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == repr(sorted(TWO_BALLS_D4_PINS.items()))
 
 
 def test_bridge_functional_monotonicity():
