@@ -273,12 +273,13 @@ def _radial_isotropic_transform(
 
     def integrand(s: np.ndarray) -> np.ndarray:
         mass = _azimuthal_mass(s * s + nx * nx, 2.0 * s * nx, cells, m)
+        # the kernel s^(2-d) times the Jacobian s^(d-1) is s, kept in its
+        # exp(log s) form, whose bits the d = 3 results carry
         with np.errstate(divide="ignore"):
             log_s = np.log(s)
-        logk = (2.0 - d) * log_s + (d - 1.0) * log_s
         out = np.zeros_like(s)
         good = mass > 0.0
-        out[good] = mass[good] * np.exp(np.maximum(logk[good], -745.0))
+        out[good] = mass[good] * np.exp(np.maximum(log_s[good], -745.0))
         return out
 
     return _s_integral(integrand, nx, cell_edges(cells), prof.support, q).scaled(area)
