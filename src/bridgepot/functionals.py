@@ -19,12 +19,16 @@ radial routes take |V| as power cells from ``RadialProfile.kernel_cells``
 the polar radius s (``_s_integral``); pointwise |V| comes from the
 potential's own values (``RadialProfile.abs_value``).
 
-The bridge functionals integrate Gaussian averages of |V| in time; for
-d = 3 the radial Gaussian mean of a smooth profile integrates |V| against
-the elementary density of |Z|, all probes in one lockstep call.  For
-piecewise-constant radial profiles it is a sum of ball overlaps, which at
-d = 3 are elementary and at other d are the noncentral chi-squared CDF,
-conditioned exactly on the transverse chi-squared law at small variance.
+The bridge functionals integrate Gaussian averages of |V| in time, each
+time integral a row of one owner-indexed lockstep call
+(``_path_integrals``): S is one row, N's two halves are two, and the
+bridge norm's search passes each batch of probes as the rows of one call.
+For d = 3 the radial Gaussian mean of a smooth profile integrates |V|
+against the elementary density of |Z|, all probes in one lockstep call.
+For piecewise-constant radial profiles it is a sum of ball overlaps, one
+per distinct cell edge, which at d = 3 are elementary and at other d are
+the noncentral chi-squared CDF, conditioned exactly on the transverse
+chi-squared law at small variance.
 
 Norms are probed suprema (``search.sup_search``), reported as certified
 lower bounds; divergence of a norm is only ever asserted through a growth
@@ -667,7 +671,7 @@ def j_transform(
     def inner(tau: np.ndarray) -> np.ndarray:
         mu = np.sqrt(np.maximum(nx * nx + 2.0 * tau * dir_dot + tau * tau * ny * ny, 0.0))
         # constant cells: the means are closed-form, no inner status to fold
-        return _radial_gaussian_mean(prof, mu, np.sqrt(2.0 * tau), d, q, set())
+        return _radial_gaussian_mean(prof, mu, np.sqrt(2.0 * tau), d, q, [], None)
 
     tau_far = (nx + sup + 10.0) / ny + (nx + sup + 10.0) ** 2
     est = integrate_half_line(
@@ -686,8 +690,13 @@ def j_transform(
 _CONDITION_BELOW = 0.1
 
 
-def _ball_overlap(R: float, mu, sigma, d: int) -> np.ndarray:
-    """P(|Z| <= R) for Z ~ N(m, sigma^2 I_d), |m| = mu, vectorized in (mu, sigma).
+def _ball_overlap(R, mu, sigma, d: int) -> np.ndarray:
+    """P(|Z| <= R) for Z ~ N(m, sigma^2 I_d), |m| = mu, elementwise in (R, mu, sigma).
+
+    R is finite and positive; R, mu and sigma broadcast together, so the
+    radii of many balls can share one call.  Each element gets the bits it
+    gets alone, whatever it is batched with: a lockstep integrand call packs
+    the nodes of many integrals, and each integral must get its own bits.
 
     d = 3 has the elementary closed form.  Other dimensions take one of two
     exact forms (Johnson, Kotz & Balakrishnan, vol. 2, ch. 29):
@@ -704,24 +713,22 @@ def _ball_overlap(R: float, mu, sigma, d: int) -> np.ndarray:
         formed as ((R - mu)(R + mu) - sigma^2 C)/(rho + mu), free of
         cancellation at mu ~ R, and the integrand is smooth enough in C for
         the 16-node rule of ``_transverse_rule`` to be exact to rounding.
+        The rule's weighted sum is an einsum, which adds each row in one
+        order: BLAS dgemv (``@``) rounds rows apart by their place in the
+        batch.
 
     Both are within 1e-15 absolute of a 30-digit mpmath oracle at d = 4, 5,
     6 and 8.
     """
-    shape = np.broadcast(np.asarray(mu), np.asarray(sigma)).shape
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), shape).copy()
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), shape).copy()
-    if R <= 0.0:
-        return np.zeros(shape)
-    if math.isinf(R):
-        return np.ones(shape)
+    shape = np.broadcast(np.asarray(R), np.asarray(mu), np.asarray(sigma)).shape
+    R, mu, sigma = (np.broadcast_to(np.asarray(v, dtype=float), shape).copy() for v in (R, mu, sigma))
     # sigma can round to zero at bridge endpoints; the limit is a step
     degenerate = sigma <= 1e-150 * (mu + R + 1.0)
     if np.any(degenerate):
         out = np.where(mu <= R, 1.0, 0.0)
         live = ~degenerate
         if np.any(live):
-            out[live] = _ball_overlap(R, mu[live], sigma[live], d)
+            out[live] = _ball_overlap(R[live], mu[live], sigma[live], d)
         return out
     if d == 3:
         a = (R - mu) / sigma
@@ -739,15 +746,16 @@ def _ball_overlap(R: float, mu, sigma, d: int) -> np.ndarray:
         return np.where(small, limit, np.clip(base - corr, 0.0, 1.0))
     wide = sigma > _CONDITION_BELOW * R
     out = np.empty(shape)
-    out[wide] = noncentral_chi2_cdf((R / sigma[wide]) ** 2, d, (mu[wide] / sigma[wide]) ** 2)
-    m, s = mu[~wide][:, None], sigma[~wide][:, None]
+    out[wide] = noncentral_chi2_cdf(
+        (R[wide] / sigma[wide]) ** 2, d, (mu[wide] / sigma[wide]) ** 2
+    )
+    r, m, s = R[~wide][:, None], mu[~wide][:, None], sigma[~wide][:, None]
     c, w = _transverse_rule(d)
     s2c = s * s * c
-    top = np.sqrt(np.maximum(R * R - s2c, 0.0)) + m  # rho + mu
+    top = np.sqrt(np.maximum(r * r - s2c, 0.0)) + m  # rho + mu
     with np.errstate(divide="ignore", invalid="ignore"):
-        hit = norm_cdf(((R - m) * (R + m) - s2c) / (top * s)) - norm_cdf(-top / s)
-    # einsum, not @: BLAS dgemv rounds rows apart by their place in the batch
-    out[~wide] = np.einsum("ij,j->i", np.where(s2c < R * R, hit, 0.0), w)
+        hit = norm_cdf(((r - m) * (r + m) - s2c) / (top * s)) - norm_cdf(-top / s)
+    out[~wide] = np.einsum("ij,j->i", np.where(s2c < r * r, hit, 0.0), w)
     return out
 
 
@@ -793,19 +801,28 @@ def _radial_gaussian_mean(
     sigma: np.ndarray,
     d: int,
     q: QuadratureSpec,
-    inner: set[Status],
+    inner: Sequence[set[Status]],
+    owner: np.ndarray | None,
 ) -> np.ndarray:
-    """E |V|(|Z|) with Z ~ N(m, sigma^2 I_d), |m| = mu, vectorized over probes.
+    """E |V|(|Z|) with Z ~ N(m, sigma^2 I_d), |m| = mu, over 1D arrays of probes.
 
-    The statuses of the means integrated by quadrature (smooth profiles)
-    are added to ``inner``, for the caller to ``fold_status`` into its result.
+    A piecewise-constant profile is a sum over cells of |V| times the
+    difference of the ball overlaps at the cell's edges.  Each distinct
+    finite, nonzero edge is computed once, all edges in one
+    ``_ball_overlap`` call of (edges x probes); edge 0 is no mass and an
+    infinite edge all of it.  A smooth profile (d = 3) integrates |V|
+    against the density of |Z|, every probe in one lockstep call, and the
+    status of probe i's integral is added to inner[owner[i]], for the
+    caller to ``fold_status`` into its result.
     """
     if prof.constant_cells is not None:
+        cells = [c for c in prof.constant_cells if c[2] != 0.0]
+        edges = sorted({r for lo, hi, _ in cells for r in (lo, hi) if 0.0 < r < math.inf})
+        rows = _ball_overlap(np.array(edges)[:, None], mu, sigma, d)
+        mass = {0.0: 0.0, math.inf: 1.0, **dict(zip(edges, rows))}
         out = np.zeros(np.broadcast(mu, sigma).shape)
-        for lo, hi, val in prof.constant_cells:
-            if val == 0.0:
-                continue
-            out += val * (_ball_overlap(hi, mu, sigma, d) - _ball_overlap(lo, mu, sigma, d))
+        for lo, hi, val in cells:
+            out += val * (mass[hi] - mass[lo])
         return out
     if d != 3:
         raise GeometryError(
@@ -845,7 +862,7 @@ def _radial_gaussian_mean(
     )
     for (i, _, _), est in zip(probes, ests):
         out[i] = est.value
-        inner.add(est.status)
+        inner[owner[i]].add(est.status)
     return out.reshape(np.shape(mu))
 
 
@@ -884,21 +901,61 @@ def _bridge_inputs(V: Potential, spec: BridgeSpec) -> tuple:
     return d, radial_profile(V), x, y
 
 
-def _path_integral(prof, d, a, b, t, variance, lo, hi, breaks, q) -> Estimate:
-    """int_lo^hi E |V|(Z_s) ds, Z_s ~ N(a + (s/t)(b - a), variance(s) I_d).
+# the variance per coordinate of a path integral's Gaussian at time s, by
+# the kind of its row: S's pinned bridge, and the two halves of N
+_BRIDGE, _RISE, _FALL = 0, 1, 2
+_VARIANCE = (
+    lambda s, t: 2.0 * s * (t - s) / t,
+    lambda s, t: 2.0 * s,
+    lambda s, t: 2.0 * (t - s),
+)
 
-    |V| is the radial profile prof, and breaks are the integral's
-    breakpoints in s.  The statuses of the Gaussian means integrated by
-    quadrature (``_radial_gaussian_mean``) are folded into the result.
+
+def _path_integrals(
+    prof: RadialProfile, d: int, rows: Sequence[tuple], q: QuadratureSpec
+) -> list[Estimate]:
+    """int_lo^hi E |V|(Z_s) ds, Z_s ~ N(a + (s/t)(b - a), v(s) I_d), per row.
+
+    A row is (a, b, t, kind, lo, hi, breaks): the path's end points, its
+    time, the kind of its variance v (``_BRIDGE``, ``_RISE`` or ``_FALL``),
+    the integral's range and its breakpoints in s.  |V| is the radial
+    profile prof.  The rows are one lockstep ``integrate_finite``: each
+    integrand call takes the Gaussian means of all its rows' nodes at once,
+    and each row's Estimate is the one it gets alone.  Each row folds in the
+    worst status of its own Gaussian means integrated by quadrature
+    (``_radial_gaussian_mean``), never another row's.
     """
-    inner: set[Status] = set()
+    a = np.array([row[0] for row in rows])
+    ba = np.array([row[1] - row[0] for row in rows])
+    t = np.array([row[2] for row in rows], dtype=float)
+    kind = np.array([row[3] for row in rows])
+    kinds = sorted(set(kind.tolist()))
+    inner: list[set[Status]] = [set() for _ in rows]
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        m = a[None, :] + (s / t)[:, None] * (b - a)[None, :]
-        mu = np.sqrt(_sq_norm(m))
-        return _radial_gaussian_mean(prof, mu, np.sqrt(variance(s)), d, q, inner)
+    def integrand(owner: np.ndarray, s: np.ndarray) -> np.ndarray:
+        to = t.take(owner)
+        mu = np.sqrt(_sq_norm(a.take(owner, axis=0) + (s / to)[:, None] * ba.take(owner, axis=0)))
+        if len(kinds) == 1:
+            variance = _VARIANCE[kinds[0]](s, to)
+        else:
+            variance = np.choose(kind.take(owner), [v(s, to) for v in _VARIANCE])
+        return _radial_gaussian_mean(prof, mu, np.sqrt(variance), d, q, inner, owner)
 
-    return fold_status(integrate_finite(integrand, lo, hi, q, breakpoints=breaks), inner)
+    ests = integrate_finite(
+        integrand, [row[4] for row in rows], [row[5] for row in rows], q, [row[6] for row in rows]
+    )
+    return [fold_status(est, statuses) for est, statuses in zip(ests, inner)]
+
+
+def _s_functionals(V: Potential, specs: Sequence[BridgeSpec], q: QuadratureSpec) -> list[Estimate]:
+    """S(V, t, x, y) at every spec, as the rows of one ``_path_integrals``."""
+    rows = []
+    for spec in specs:
+        d, prof, x, y = _bridge_inputs(V, spec)
+        t = spec.t
+        breaks = _crossing_times(x, y, t, prof.breakpoints) + [t / 2.0]
+        rows.append((x, y, t, _BRIDGE, 0.0, t, breaks))
+    return _path_integrals(prof, d, rows, q)
 
 
 def s_functional(
@@ -906,10 +963,7 @@ def s_functional(
 ) -> Estimate:
     """Bridge potential S(V, t, x, y): the expected integral of |V| along the
     pinned bridge, evaluated as a time integral of Gaussian means of |V|."""
-    d, prof, x, y = _bridge_inputs(V, spec)
-    t = spec.t
-    breaks = _crossing_times(x, y, t, prof.breakpoints) + [t / 2.0]
-    return _path_integral(prof, d, x, y, t, lambda s: 2.0 * s * (t - s) / t, 0.0, t, breaks, q)
+    return _s_functionals(V, [spec], q)[0]
 
 
 def _n_halves(
@@ -919,17 +973,16 @@ def _n_halves(
 
     Both integrate Gaussian means of |V| along the straight path from y to
     x, with per-coordinate variance 2 tau (first half) and 2 (t - tau)
-    (second half).
+    (second half); they are the two rows of one ``_path_integrals``.
     """
     d, prof, x, y = _bridge_inputs(V, spec)
     t = spec.t
     crossings = _crossing_times(y, x, t, prof.breakpoints)
 
-    def half(variance: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> Estimate:
-        breaks = [s for s in crossings if lo < s < hi]
-        return _path_integral(prof, d, y, x, t, variance, lo, hi, breaks, q)
+    def half(kind: int, lo: float, hi: float) -> tuple:
+        return (y, x, t, kind, lo, hi, [s for s in crossings if lo < s < hi])
 
-    return half(lambda tau: 2.0 * tau, 0.0, t / 2.0), half(lambda tau: 2.0 * (t - tau), t / 2.0, t)
+    return tuple(_path_integrals(prof, d, [half(_RISE, 0.0, t / 2.0), half(_FALL, t / 2.0, t)], q))
 
 
 def n_functional(
@@ -1117,12 +1170,18 @@ def s_norm(
     q: QuadratureSpec = DEFAULT_SPEC_1D,
     strategy: SearchStrategy = SearchStrategy(grid_density=5),
 ) -> NormReport:
-    """Probed sup of the bridge potential over (t, x, y) for radial V."""
+    """Probed sup of the bridge potential over (t, x, y) for radial V.
+
+    Each batch of probes the search asks for is one lockstep call
+    (``_s_functionals``), so the probes share their integrand calls.
+    """
     d = as_dimension(d)
 
-    def probe(p: np.ndarray) -> Estimate:
-        x, y = _probe_pair(d, *p[1:])
-        return s_functional(V, BridgeSpec(p[0], tuple(x), tuple(y)), q)
+    def probes(points: np.ndarray) -> list[Estimate]:
+        pairs = [_probe_pair(d, *p[1:]) for p in points]
+        return _s_functionals(
+            V, [BridgeSpec(p[0], tuple(x), tuple(y)) for p, (x, y) in zip(points, pairs)], q
+        )
 
     domain = [
         AxisSpec("t", 1e-2, 1e4, "log"),
@@ -1130,7 +1189,7 @@ def s_norm(
         AxisSpec("r_y", 1e-2, 1e2, "log", include_zero=True),
         AxisSpec("cos_angle", -1.0, 1.0, "linear"),
     ]
-    return _norm_report(sup_search(lambda points: [probe(p) for p in points], domain, strategy))
+    return _norm_report(sup_search(probes, domain, strategy))
 
 
 # ===========================================================================

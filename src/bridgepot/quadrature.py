@@ -33,7 +33,12 @@ Estimates; f is called as f(owner, x), where owner holds, for each node of
 x, the index i of its integral.  Each integral keeps its own heap,
 breakpoints, stop rule and budget, so each Estimate is bit-identical to the
 one the integral gets alone; nested reductions use this to evaluate the
-inner integrals of all outer nodes with a few integrand calls.
+inner integrals of all outer nodes with a few integrand calls, and the
+bridge functionals to integrate many paths together.  That holds under the
+integrand contract: f is elementwise, and the bits it returns for a node
+do not depend on the other nodes of the call.  A sum over a node's row
+must therefore run in one fixed order (an einsum or a fixed-order sum, not
+a BLAS product, which rounds rows apart by their place in the batch).
 ``integrate_2d(f2, xspans, yspan, spec, xbreaks, ybreaks)`` is the same
 for rectangles xspans[i] x yspan, with f2(owner, x, y); the axial
 transforms use it for many probes, or many shells of one growth ladder.
@@ -420,7 +425,9 @@ def integrate_finite(
     index i of each node's integral.  Each integral keeps its own heap, stop
     rule and budget, so its Estimate equals the one it gets alone,
     ``integrate_finite(lambda x: f(i, x), a[i], b[i], spec, breakpoints[i])``;
-    only the integrand calls are shared.
+    only the integrand calls are shared.  This needs f to be elementwise,
+    with bits for a node that do not depend on which nodes share its call
+    (module docstring).
     """
     if np.ndim(a) == 0:
         return _integrate_many(lambda owner, x: f(x), [a], [b], spec, [breakpoints])[0]

@@ -300,18 +300,24 @@ def test_transforms_check_dimensions(name, V, x, y):
 
 
 def _starve_inner(monkeypatch, module) -> dict:
-    """Give the lockstep (inner) integrals of ``module`` a one-split budget
-    at rel_tol 1e-15, and record the statuses of inner and outer integrals."""
+    """Give the inner integrals of ``module`` (those started inside another
+    integral's integrand) a one-split budget at rel_tol 1e-15, and record
+    the statuses of inner and outer integrals."""
     real = module.integrate_finite
     seen = {"inner": [], "outer": []}
+    depth = [0]
 
     def starved(f, a, b, spec, breakpoints=()):
-        if np.ndim(a) == 0:
-            est = real(f, a, b, spec, breakpoints)
-            seen["outer"].append(est.status)
-            return est
-        ests = real(f, a, b, dataclasses.replace(spec, rel_tol=1e-15, max_subdivisions=1), breakpoints)
-        seen["inner"] += [e.status for e in ests]
+        if depth[0]:
+            ests = real(f, a, b, dataclasses.replace(spec, rel_tol=1e-15, max_subdivisions=1), breakpoints)
+            seen["inner"] += [e.status for e in ests] if isinstance(ests, list) else [ests.status]
+            return ests
+        depth[0] += 1
+        try:
+            ests = real(f, a, b, spec, breakpoints)
+        finally:
+            depth[0] -= 1
+        seen["outer"] += [e.status for e in ests] if isinstance(ests, list) else [ests.status]
         return ests
 
     monkeypatch.setattr(module, "integrate_finite", starved)
@@ -673,6 +679,81 @@ def test_two_ball_d4_pins_hold_without_avx512():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == repr(sorted(TWO_BALLS_D4_PINS.items()))
+
+
+def _path_row(prof, kind, t, x, y):
+    """A ``_path_integrals`` row of the given kind, as S and N build them."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if kind == functionals._BRIDGE:
+        breaks = functionals._crossing_times(x, y, t, prof.breakpoints) + [t / 2.0]
+        return (x, y, t, kind, 0.0, t, breaks)
+    lo, hi = (0.0, t / 2.0) if kind == functionals._RISE else (t / 2.0, t)
+    breaks = [s for s in functionals._crossing_times(y, x, t, prof.breakpoints) if lo < s < hi]
+    return (y, x, t, kind, lo, hi, breaks)
+
+
+_PATH_POTENTIALS = {"ball": BALL, "two balls": TWO_BALLS_D4, "shell": POWER}
+
+
+@st.composite
+def path_rows(draw):
+    """(potential name, d, rows, spec): rows of all three kinds, smooth profiles at d = 3."""
+    name = draw(st.sampled_from(sorted(_PATH_POTENTIALS)))
+    d = 3 if name == "shell" else draw(st.sampled_from([3, 4, 5]))
+    vector = st.lists(st.floats(-1.5, 1.5), min_size=d, max_size=d).map(np.array)
+    # x near the balls' spheres, or moved out by 4, where a path can miss
+    # the shell (radius 2) and has no inner integral to starve; y near x
+    row = st.tuples(
+        st.sampled_from([functionals._BRIDGE, functionals._RISE, functionals._FALL]),
+        st.floats(-2.0, 0.7).map(lambda e: 10.0**e),
+        st.tuples(vector, st.sampled_from([1.0, 4.0]), vector).map(lambda v: (v[1] * v[0], v[1] * v[0] + v[2])),
+    )
+    rows = [(kind, t, x, y) for kind, t, (x, y) in draw(st.lists(row, min_size=1, max_size=5))]
+    spec = QuadratureSpec(rel_tol=1e-10, max_subdivisions=draw(st.integers(1, 30)))
+    return name, d, rows, spec
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=path_rows())
+def test_path_integrals_equal_each_row_alone(case):
+    name, d, raw, spec = case
+    prof = potentials.radial_profile(_PATH_POTENTIALS[name])
+    rows = [_path_row(prof, *r) for r in raw]
+    together = functionals._path_integrals(prof, d, rows, spec)
+    alone = [functionals._path_integrals(prof, d, [row], spec)[0] for row in rows]
+    assert list(map(repr, together)) == list(map(repr, alone))
+
+
+def test_a_starved_inner_integral_marks_only_its_own_row():
+    # the first bridge never comes near the shell, so it has no inner
+    # integral; the second crosses it with inner integrals starved
+    prof = potentials.radial_profile(POWER)
+    starved = QuadratureSpec(rel_tol=1e-14, max_subdivisions=2)
+    far = _path_row(prof, functionals._BRIDGE, 0.01, (40.0, 0.0, 0.0), (41.0, 0.0, 0.0))
+    near = _path_row(prof, functionals._BRIDGE, 0.7, (0.3, 0.1, 0.0), (1.2, -0.4, 0.2))
+    alone = [functionals._path_integrals(prof, 3, [row], starved)[0] for row in (far, near)]
+    assert [e.status for e in alone] == [Status.CONVERGED, Status.MAX_SUBDIVISIONS_REACHED]
+    assert functionals._path_integrals(prof, 3, [far, near], starved) == alone
+
+
+# a 48-probe call peaks at about 820 KiB (numpy 2.4, x86-64), one probe
+# alone at about 180 KiB; 128 boxes per call would double the wide part
+_PATH_PEAK = 1024 * 1024
+
+
+def test_many_probe_path_integral_peak_bounded():
+    # one call for 48 S probes of the two balls at d = 4: its integrand
+    # calls take up to 64 boxes, whose (edges x nodes x 16) transverse
+    # temporaries this bounds
+    rng = np.random.default_rng(4)
+    prof = potentials.radial_profile(TWO_BALLS_D4)
+    rows = [
+        _path_row(prof, functionals._BRIDGE, float(t), x, y)
+        for t, x, y in zip(10.0 ** rng.uniform(-2, 1, 48), rng.normal(0, 1.2, (48, 4)), rng.normal(0, 1.2, (48, 4)))
+    ]
+    ests, peak = _peak_after_warm_up(lambda: functionals._path_integrals(prof, 4, rows, DEFAULT_SPEC_1D))
+    assert all(e.converged for e in ests)
+    assert peak <= _PATH_PEAK
 
 
 def test_bridge_functional_monotonicity():
