@@ -935,7 +935,7 @@ def _path_integrals(
     def integrand(owner: np.ndarray, s: np.ndarray) -> np.ndarray:
         to = t.take(owner)
         mu = np.sqrt(_sq_norm(a.take(owner, axis=0) + (s / to)[:, None] * ba.take(owner, axis=0)))
-        if len(kinds) == 1:
+        if len(kinds) == 1:  # a batch of S probes pays for no selection
             variance = _VARIANCE[kinds[0]](s, to)
         else:
             variance = np.choose(kind.take(owner), [v(s, to) for v in _VARIANCE])
