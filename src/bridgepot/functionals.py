@@ -166,8 +166,9 @@ def _on_axis(v: np.ndarray) -> bool:
 
 _GL24 = np.polynomial.legendre.leggauss(24)
 _GL24_AT = 0.5 * (_GL24[0] + 1.0)  # the nodes mapped to [0, 1]
-# rows of a power cell evaluated at once: a (480, 24) float64 block is
-# 90 KiB, under malloc's 128 KiB mmap threshold however many rows a call has
+# rows of a power cell, or of a ball overlap's transverse rule, evaluated at
+# once: a (480, 24) float64 block is 90 KiB, a (480, 16) one 60 KiB, under
+# malloc's 128 KiB mmap threshold however many rows a call has
 _ROW_BLOCK = 480
 
 
@@ -671,7 +672,7 @@ def j_transform(
     def inner(tau: np.ndarray) -> np.ndarray:
         mu = np.sqrt(np.maximum(nx * nx + 2.0 * tau * dir_dot + tau * tau * ny * ny, 0.0))
         # constant cells: the means are closed-form, no inner status to fold
-        return _radial_gaussian_mean(prof, mu, np.sqrt(2.0 * tau), d, q, [], None)
+        return _radial_gaussian_mean(prof, mu, np.sqrt(2.0 * tau), d, q)[0]
 
     tau_far = (nx + sup + 10.0) / ny + (nx + sup + 10.0) ** 2
     est = integrate_half_line(
@@ -715,7 +716,8 @@ def _ball_overlap(R, mu, sigma, d: int) -> np.ndarray:
         the 16-node rule of ``_transverse_rule`` to be exact to rounding.
         The rule's weighted sum is an einsum, which adds each row in one
         order: BLAS dgemv (``@``) rounds rows apart by their place in the
-        batch.
+        batch.  The rows go in blocks of ``_ROW_BLOCK``, so the (rows x 16)
+        temporaries are bounded by the block, not by the size of the call.
 
     Both are within 1e-15 absolute of a 30-digit mpmath oracle at d = 4, 5,
     6 and 8.
@@ -749,13 +751,19 @@ def _ball_overlap(R, mu, sigma, d: int) -> np.ndarray:
     out[wide] = noncentral_chi2_cdf(
         (R[wide] / sigma[wide]) ** 2, d, (mu[wide] / sigma[wide]) ** 2
     )
-    r, m, s = R[~wide][:, None], mu[~wide][:, None], sigma[~wide][:, None]
+    narrow = ~wide
+    R, mu, sigma = R[narrow], mu[narrow], sigma[narrow]
     c, w = _transverse_rule(d)
-    s2c = s * s * c
-    top = np.sqrt(np.maximum(r * r - s2c, 0.0)) + m  # rho + mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hit = norm_cdf(((r - m) * (r + m) - s2c) / (top * s)) - norm_cdf(-top / s)
-    out[~wide] = np.einsum("ij,j->i", np.where(s2c < r * r, hit, 0.0), w)
+    mean = np.empty(R.size)
+    for start in range(0, R.size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        r, m, s = R[rows, None], mu[rows, None], sigma[rows, None]
+        s2c = s * s * c
+        top = np.sqrt(np.maximum(r * r - s2c, 0.0)) + m  # rho + mu
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hit = norm_cdf(((r - m) * (r + m) - s2c) / (top * s)) - norm_cdf(-top / s)
+        mean[rows] = np.einsum("ij,j->i", np.where(s2c < r * r, hit, 0.0), w)
+    out[narrow] = mean
     return out
 
 
@@ -801,19 +809,18 @@ def _radial_gaussian_mean(
     sigma: np.ndarray,
     d: int,
     q: QuadratureSpec,
-    inner: Sequence[set[Status]],
-    owner: np.ndarray | None,
-) -> np.ndarray:
-    """E |V|(|Z|) with Z ~ N(m, sigma^2 I_d), |m| = mu, over 1D arrays of probes.
+) -> tuple[np.ndarray, list[tuple[int, Status]]]:
+    """E |V|(|Z|) with Z ~ N(m, sigma^2 I_d), |m| = mu, over 1D arrays of probes,
+    and the (probe index, status) of each mean integrated by quadrature.
 
     A piecewise-constant profile is a sum over cells of |V| times the
     difference of the ball overlaps at the cell's edges.  Each distinct
     finite, nonzero edge is computed once, all edges in one
     ``_ball_overlap`` call of (edges x probes); edge 0 is no mass and an
-    infinite edge all of it.  A smooth profile (d = 3) integrates |V|
-    against the density of |Z|, every probe in one lockstep call, and the
-    status of probe i's integral is added to inner[owner[i]], for the
-    caller to ``fold_status`` into its result.
+    infinite edge all of it.  Its means are closed-form: no statuses.  A
+    smooth profile (d = 3) integrates |V| against the density of |Z|, every
+    probe in one lockstep call, for the caller to ``fold_status`` each
+    probe's status into the result it feeds.
     """
     if prof.constant_cells is not None:
         cells = [c for c in prof.constant_cells if c[2] != 0.0]
@@ -823,7 +830,7 @@ def _radial_gaussian_mean(
         out = np.zeros(np.broadcast(mu, sigma).shape)
         for lo, hi, val in cells:
             out += val * (mass[hi] - mass[lo])
-        return out
+        return out, []
     if d != 3:
         raise GeometryError(
             "smooth radial profiles in the bridge functionals require d = 3 "
@@ -860,10 +867,11 @@ def _radial_gaussian_mean(
         q,
         [[b for b in prof.breakpoints if lo < b < hi] for _, lo, hi in probes],
     )
+    statuses = []
     for (i, _, _), est in zip(probes, ests):
         out[i] = est.value
-        inner[owner[i]].add(est.status)
-    return out.reshape(np.shape(mu))
+        statuses.append((i, est.status))
+    return out.reshape(np.shape(mu)), statuses
 
 
 # ===========================================================================
@@ -935,11 +943,14 @@ def _path_integrals(
     def integrand(owner: np.ndarray, s: np.ndarray) -> np.ndarray:
         to = t.take(owner)
         mu = np.sqrt(_sq_norm(a.take(owner, axis=0) + (s / to)[:, None] * ba.take(owner, axis=0)))
-        if len(kinds) == 1:  # a batch of S probes pays for no selection
-            variance = _VARIANCE[kinds[0]](s, to)
-        else:
-            variance = np.choose(kind.take(owner), [v(s, to) for v in _VARIANCE])
-        return _radial_gaussian_mean(prof, mu, np.sqrt(variance), d, q, inner, owner)
+        # the first kind's variance, overlaid by each other kind on its nodes
+        variance = _VARIANCE[kinds[0]](s, to)
+        for k in kinds[1:]:
+            variance = np.where(kind.take(owner) == k, _VARIANCE[k](s, to), variance)
+        mean, statuses = _radial_gaussian_mean(prof, mu, np.sqrt(variance), d, q)
+        for i, status in statuses:
+            inner[owner[i]].add(status)
+        return mean
 
     ests = integrate_finite(
         integrand, [row[4] for row in rows], [row[5] for row in rows], q, [row[6] for row in rows]

@@ -736,17 +736,20 @@ def test_a_starved_inner_integral_marks_only_its_own_row():
     assert functionals._path_integrals(prof, 3, [far, near], starved) == alone
 
 
-# a 48-probe call peaks at about 820 KiB (numpy 2.4, x86-64), one probe
-# alone at about 180 KiB; 128 boxes per call would double the wide part
+# eight balls: eight cell edges, four times the two balls' ball overlaps
+EIGHT_BALLS = Sum(tuple(BallIndicator(None, 0.25 * k, -1.0 / k) for k in range(1, 9)))
+# a 48-probe call peaks at about 570 KiB on the two balls and 840 KiB on the
+# eight (numpy 2.4, x86-64), one probe alone at about 95 KiB; with the
+# transverse rule's rows in one block the eight balls reach about 2.4 MiB
 _PATH_PEAK = 1024 * 1024
 
 
-def test_many_probe_path_integral_peak_bounded():
-    # one call for 48 S probes of the two balls at d = 4: its integrand
-    # calls take up to 64 boxes, whose (edges x nodes x 16) transverse
-    # temporaries this bounds
+@pytest.mark.parametrize("V", [TWO_BALLS_D4, EIGHT_BALLS], ids=["two balls", "eight balls"])
+def test_many_probe_path_integral_peak_bounded(V):
+    # one call for 48 S probes at d = 4: its integrand calls take up to 64
+    # boxes, whose (edges x nodes x 16) transverse temporaries this bounds
     rng = np.random.default_rng(4)
-    prof = potentials.radial_profile(TWO_BALLS_D4)
+    prof = potentials.radial_profile(V)
     rows = [
         _path_row(prof, functionals._BRIDGE, float(t), x, y)
         for t, x, y in zip(10.0 ** rng.uniform(-2, 1, 48), rng.normal(0, 1.2, (48, 4)), rng.normal(0, 1.2, (48, 4)))
