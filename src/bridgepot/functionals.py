@@ -401,9 +401,9 @@ def _k_like_radial_transform(
             inner_spec,
             [alpha_kinks(s) for s in s_live],
         )
-        for i, s, est in zip(live, s_live, ests):
-            inner.add(est.status)
-            out[i] = est.value * math.exp(min((d - 1.0) * math.log(s), 700.0))
+        inner.update(est.status for est in ests)
+        weight = [math.exp(min((d - 1.0) * math.log(s), 700.0)) for s in s_live]
+        out[live] = np.array([est.value for est in ests]) * weight
         return out
 
     return fold_status(_s_integral(s_integrand, nx, radii, prof.support, q), inner).scaled(area)
@@ -584,50 +584,72 @@ def newton_potential(
     route DEFAULT_SPEC_2D.
     """
     d, xv = _probe_args(V, d, x)
+    return _newton_potentials(V, [xv], d, q)[0]
+
+
+def _newton_potentials(
+    V: Potential, xs: list[np.ndarray], d: int, q: QuadratureSpec | None
+) -> list[Estimate]:
+    """newton_potential at each probe xs[i], already checked.
+
+    A bounded radial support integrates every probe in one lockstep call,
+    an unbounded one probe by probe up its growth ladder; the axial route
+    integrates every probe, or every probe's ladder of shells, in one call.
+    """
     cd = newton_constant(d)
     parts = _split_same_sign_sum(V)
     if len(parts) > 1:
-        return sum((newton_potential(part, xv, d, q) for part in parts), _ZERO)
+        columns = [_newton_potentials(part, xs, d, q) for part in parts]
+        return [sum(row, _ZERO) for row in zip(*columns)]
 
     if V.symmetry is Symmetry.RADIAL:
         q = q or DEFAULT_SPEC_1D
         prof = radial_profile(V)
-        R = float(np.linalg.norm(xv))
+        R = np.array([float(np.linalg.norm(xv)) for xv in xs])
         area = sphere_area(d - 1)
 
-        def integrand(r: np.ndarray) -> np.ndarray:
-            shell = np.where(r >= R, r, np.maximum(R, 1e-300))
+        def integrand(i: np.ndarray, r: np.ndarray) -> np.ndarray:
+            shell = np.where(r >= R[i], r, np.maximum(R[i], 1e-300))
             return prof.abs_value(r) * r ** (d - 1) * shell ** (2.0 - d)
 
-        breaks = sorted({R, *prof.breakpoints})
-
-        def shell(lo: float, hi: float) -> Estimate:
-            return integrate_finite(integrand, lo, hi, q, breakpoints=breaks)
-
+        breaks = [sorted({radius, *prof.breakpoints}) for radius in R.tolist()]
         if math.isfinite(prof.support):
-            return shell(0.0, prof.support).scaled(cd * area)
-        base = max([b for b in breaks if math.isfinite(b) and b > 0], default=1.0)
-        ladder = [base * 10.0**k for k in range(1, 9)]
-        diag = growth_diagnosis(shell_sum(shell, 0.0), ladder, rel_tol=1e-6)
-        return verdict_estimate(diag).scaled(cd * area)
+            ests = integrate_finite(integrand, [0.0] * len(xs), [prof.support] * len(xs), q, breaks)
+            return [est.scaled(cd * area) for est in ests]
+        out = []
+        for i, probe_breaks in enumerate(breaks):
 
-    if V.symmetry is Symmetry.AXIAL and _on_axis(xv):
+            def shell(lo: float, hi: float, i: int = i, probe_breaks: list = probe_breaks) -> Estimate:
+                return integrate_finite(lambda o, r: integrand(o + i, r), [lo], [hi], q, [probe_breaks])[0]
+
+            base = max([b for b in probe_breaks if math.isfinite(b) and b > 0], default=1.0)
+            ladder = [base * 10.0**k for k in range(1, 9)]
+            diag = growth_diagnosis(shell_sum(shell, 0.0), ladder, rel_tol=1e-6)
+            out.append(verdict_estimate(diag).scaled(cd * area))
+        return out
+
+    if V.symmetry is Symmetry.AXIAL and all(_on_axis(xv) for xv in xs):
         q = q or DEFAULT_SPEC_2D
         prof = axial_profile(V)
-        x1 = float(xv[0])
-        if math.isinf(prof.z1_hi):
-            # bounded verdict comes from the growth ladder over truncations;
-            # its shells are integrated in one lockstep call, read in order
-            base = max(abs(prof.z1_lo), abs(x1), 4.0)
-            ladder = [base * 4.0**k for k in range(1, 13)]
-            edges = [prof.z1_lo, *ladder]
-            windows = list(zip(edges, edges[1:]))
-            n = len(windows)
-            shells = dict(zip(windows, _axial_transforms(V, [x1] * n, [0.0] * n, d, q, windows)))
-            truncated = shell_sum(lambda lo, hi: shells[lo, hi], prof.z1_lo)
+        x1 = [float(xv[0]) for xv in xs]
+        if not math.isinf(prof.z1_hi):
+            return [est.scaled(cd) for est in _axial_transforms(V, x1, [0.0] * len(x1), d, q)]
+        # bounded verdicts come from growth ladders over truncations; every
+        # probe's shells are integrated in one lockstep call, read in order
+        ladders = []
+        for x in x1:
+            base = max(abs(prof.z1_lo), abs(x), 4.0)
+            ladders.append([base * 4.0**k for k in range(1, 13)])
+        windows = [w for ladder in ladders for w in zip([prof.z1_lo, *ladder], ladder)]
+        probes = [x for x, ladder in zip(x1, ladders) for _ in ladder]
+        found = iter(_axial_transforms(V, probes, [0.0] * len(probes), d, q, windows))
+        out = []
+        for ladder in ladders:
+            shells = {w: next(found) for w in zip([prof.z1_lo, *ladder], ladder)}
+            truncated = shell_sum(lambda lo, hi, shells=shells: shells[lo, hi], prof.z1_lo)
             diag = growth_diagnosis(truncated, ladder, rel_tol=2e-3)
-            return verdict_estimate(diag).scaled(cd)
-        return _axial_transforms(V, [x1], [0.0], d, q)[0].scaled(cd)
+            out.append(verdict_estimate(diag).scaled(cd))
+        return out
 
     raise GeometryError(
         "newton_potential supports radial potentials and axial potentials "
@@ -722,14 +744,14 @@ def _ball_overlap(R, mu, sigma, d: int) -> np.ndarray:
     Both are within 1e-15 absolute of a 30-digit mpmath oracle at d = 4, 5,
     6 and 8.
     """
-    shape = np.broadcast(np.asarray(R), np.asarray(mu), np.asarray(sigma)).shape
-    R, mu, sigma = (np.broadcast_to(np.asarray(v, dtype=float), shape).copy() for v in (R, mu, sigma))
+    R, mu, sigma = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (R, mu, sigma)))
+    shape = R.shape
     # sigma can round to zero at bridge endpoints; the limit is a step
     degenerate = sigma <= 1e-150 * (mu + R + 1.0)
-    if np.any(degenerate):
+    if degenerate.any():
         out = np.where(mu <= R, 1.0, 0.0)
         live = ~degenerate
-        if np.any(live):
+        if live.any():
             out[live] = _ball_overlap(R[live], mu[live], sigma[live], d)
         return out
     if d == 3:
@@ -740,6 +762,8 @@ def _ball_overlap(R, mu, sigma, d: int) -> np.ndarray:
         small = mu < 1e-10 * sigma
         safe_mu = np.where(small, 1.0, mu)
         corr = sigma / (safe_mu * math.sqrt(2.0 * math.pi)) * scale
+        if not small.any():
+            return np.clip(base - corr, 0.0, 1.0)
         # mu -> 0 limit: chi distribution with 3 dof
         x = R / sigma
         limit = norm_cdf(x) - norm_cdf(-x) - 2.0 * x * np.exp(-0.5 * x * x) / math.sqrt(
@@ -799,6 +823,8 @@ def _q3_density(s: np.ndarray, mu, sigma, sigma2, sigma3) -> np.ndarray:
         core = np.exp(-0.5 * (s * s + mu * mu) / sigma2 + np.abs(arg))
         sinh_scaled = 0.5 * (1.0 - np.exp(-2.0 * np.abs(arg)))
     off = s / (mu * sigma * math.sqrt(2.0 * math.pi)) * 2.0 * core * sinh_scaled
+    if not centred.any():
+        return off
     on = math.sqrt(2.0 / math.pi) * s * s / sigma3 * np.exp(-0.5 * (s / sigma) ** 2)
     return np.where(centred, on, off)
 
@@ -811,7 +837,8 @@ def _radial_gaussian_mean(
     q: QuadratureSpec,
 ) -> tuple[np.ndarray, list[tuple[int, Status]]]:
     """E |V|(|Z|) with Z ~ N(m, sigma^2 I_d), |m| = mu, over 1D arrays of probes,
-    and the (probe index, status) of each mean integrated by quadrature.
+    and the (probe index, status) of each mean integrated by quadrature
+    that did not converge.
 
     A piecewise-constant profile is a sum over cells of |V| times the
     difference of the ball overlaps at the cell's edges.  Each distinct
@@ -839,18 +866,13 @@ def _radial_gaussian_mean(
     mu_flat = np.atleast_1d(mu).ravel()
     sg_flat = np.atleast_1d(np.broadcast_to(sigma, np.shape(mu))).ravel()
     out = np.zeros_like(mu_flat)
-    probes = []  # (index into out, lo, hi) of the means left to integrate
-    for i, (m, sg) in enumerate(zip(mu_flat, sg_flat)):
-        if sg <= 1e-150 * (m + 1.0):
-            # deterministic limit: the Gaussian mean collapses to a point value
-            out[i] = prof.abs_value(m)
-            continue
-        hi = min(prof.support, m + 10.0 * sg)
-        lo = max(0.0, m - 10.0 * sg)
-        if hi > lo:
-            probes.append((i, lo, hi))
-
-    idx = [i for i, _, _ in probes]
+    point = sg_flat <= 1e-150 * (mu_flat + 1.0)
+    for i in np.flatnonzero(point).tolist():
+        # deterministic limit: the Gaussian mean collapses to a point value
+        out[i] = prof.abs_value(mu_flat[i])
+    hi = np.minimum(prof.support, mu_flat + 10.0 * sg_flat)
+    lo = np.maximum(0.0, mu_flat - 10.0 * sg_flat)
+    idx = np.flatnonzero(~point & (hi > lo))  # the means left to integrate
     mus, sgs = mu_flat[idx], sg_flat[idx]
     # sigma**2 and sigma**3 once per probe: a scalar ** is libm's pow, which
     # numpy's array power may round apart
@@ -860,17 +882,12 @@ def _radial_gaussian_mean(
     def integrand(i: np.ndarray, s: np.ndarray) -> np.ndarray:
         return prof.abs_value(s) * _q3_density(s, mus[i], sgs[i], sg2s[i], sg3s[i])
 
-    ests = integrate_finite(
-        integrand,
-        [lo for _, lo, _ in probes],
-        [hi for _, _, hi in probes],
-        q,
-        [[b for b in prof.breakpoints if lo < b < hi] for _, lo, hi in probes],
-    )
-    statuses = []
-    for (i, _, _), est in zip(probes, ests):
-        out[i] = est.value
-        statuses.append((i, est.status))
+    # every probe is seeded with all of the profile's breakpoints: only
+    # those inside its range cut a panel
+    breaks = np.broadcast_to(np.array(prof.breakpoints, dtype=float), (idx.size, len(prof.breakpoints)))
+    ests = integrate_finite(integrand, lo[idx], hi[idx], q, breaks)
+    out[idx] = [est.value for est in ests]
+    statuses = [(i, est.status) for i, est in zip(idx.tolist(), ests) if not est.converged]
     return out.reshape(np.shape(mu)), statuses
 
 
@@ -978,22 +995,32 @@ def s_functional(
 
 
 def _n_halves(
-    V: Potential, spec: BridgeSpec, q: QuadratureSpec
-) -> tuple[Estimate, Estimate]:
-    """The two half-integrals of N over [0, t/2] and [t/2, t], unnormalized.
+    V: Potential, specs: Sequence[BridgeSpec], q: QuadratureSpec
+) -> list[tuple[Estimate, Estimate]]:
+    """The two half-integrals of N over [0, t/2] and [t/2, t], unnormalized,
+    at every spec.
 
     Both integrate Gaussian means of |V| along the straight path from y to
     x, with per-coordinate variance 2 tau (first half) and 2 (t - tau)
-    (second half); they are the two rows of one ``_path_integrals``.
+    (second half); each spec gives two rows of one ``_path_integrals``.
     """
-    d, prof, x, y = _bridge_inputs(V, spec)
-    t = spec.t
-    crossings = _crossing_times(y, x, t, prof.breakpoints)
+    rows = []
+    for spec in specs:
+        d, prof, x, y = _bridge_inputs(V, spec)
+        t = spec.t
+        crossings = _crossing_times(y, x, t, prof.breakpoints)
+        for kind, lo, hi in ((_RISE, 0.0, t / 2.0), (_FALL, t / 2.0, t)):
+            rows.append((y, x, t, kind, lo, hi, [s for s in crossings if lo < s < hi]))
+    ests = _path_integrals(prof, d, rows, q)
+    return list(zip(ests[0::2], ests[1::2]))
 
-    def half(kind: int, lo: float, hi: float) -> tuple:
-        return (y, x, t, kind, lo, hi, [s for s in crossings if lo < s < hi])
 
-    return tuple(_path_integrals(prof, d, [half(_RISE, 0.0, t / 2.0), half(_FALL, t / 2.0, t)], q))
+def _n_functionals(V: Potential, specs: Sequence[BridgeSpec], q: QuadratureSpec) -> list[Estimate]:
+    """N(V, t, x, y) at every spec, from the rows of one ``_n_halves``."""
+    return [
+        (est1 + est2).scaled((4.0 * math.pi) ** (as_dimension(spec.d) / 2.0))
+        for spec, (est1, est2) in zip(specs, _n_halves(V, specs, q))
+    ]
 
 
 def n_functional(
@@ -1002,8 +1029,7 @@ def n_functional(
     """Two-sided approximation functional N(V, t, x, y): the sum of the two
     half-integrals of ``_n_halves``; no (4 pi)^{-d/2} normalization is applied.
     """
-    est1, est2 = _n_halves(V, spec, q)
-    return (est1 + est2).scaled((4.0 * math.pi) ** (as_dimension(spec.d) / 2.0))
+    return _n_functionals(V, [spec], q)[0]
 
 
 # ===========================================================================
@@ -1163,16 +1189,17 @@ def newton_norm(
     """Probed sup over x of the Newton potential of |V| (q as in newton_potential)."""
     d = as_dimension(d)
 
-    def probe(p: np.ndarray) -> Estimate:
-        x = np.zeros(d)
-        x[0] = p[0]
-        return newton_potential(V, x, d, q)
+    def probes(points: np.ndarray) -> list[Estimate]:
+        xs = np.zeros((len(points), d))
+        xs[:, 0] = points[:, 0]
+        return _newton_potentials(V, list(_probe_args(V, d, *xs)[1:]), d, q)
 
     if V.symmetry is Symmetry.RADIAL:
         domain = [AxisSpec("r_x", 1e-3, 1e4, "log", include_zero=True)]
     else:
         domain = [AxisSpec("x1", 4.0, 1e6, "log")]
-    return _norm_report(sup_search(lambda points: [probe(p) for p in points], domain, strategy))
+    # each batch the search asks for is one lockstep call
+    return _norm_report(sup_search(probes, domain, strategy))
 
 
 def s_norm(

@@ -21,11 +21,15 @@ batch it shares: the 2D rule's degraded sums use zero-padded Gauss weights
 over the full 15 x 15 grid, because sums over sliced operands run in an
 order that depends on the batch size and could flip a split axis.
 
-The engine is one generator per integral, ``_refine``: it yields the boxes
-it wants evaluated, is sent back their (box, value, error, axis) rows, and
-returns its Estimate.  A driver, ``_drive``, advances any number of them
-together and makes one integrand call per round for all of their requests.
-One integral is the case n = 1, with exactly the calls it would make alone.
+The engine is one loop over rounds, ``_drive``.  A round makes one
+integrand call for the boxes its integrals asked for, then takes each of
+them one step: add the new values to its totals, apply the stop rule, and
+bisect the batch its heap of (-error, serial) keys gives up.  An integral
+is only that state (totals, splits, next serial, heap), alive from its
+first round to its last; one that meets its tolerance on the boxes just
+evaluated never fills its heap.  The initial panels of every integral of
+a call come from one array pass.  One integral is the case n = 1, with
+exactly the calls it would make alone.
 
 Lockstep integrals.  ``integrate_finite(f, a, b, spec, breakpoints)`` with
 sequences a and b integrates f over each [a[i], b[i]] and returns a list of
@@ -84,7 +88,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Generator, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -264,76 +268,12 @@ def _panel_eval(f: Callable, panels: np.ndarray, owner: np.ndarray):
     # nodes laid out panel-major: shape (npanels, 15)
     x = c[:, None] + h[:, None] * _XK[None, :]
     y = np.asarray(f(owner.repeat(15), x.ravel()), dtype=float).reshape(x.shape)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise QuadratureError("integrand returned a non-finite value")
-    valk = h * (y * _WK[None, :]).sum(axis=1)
-    valg = h * (y[:, _IG] * _WG[None, :]).sum(axis=1)
-    resabs = np.abs(h) * (np.abs(y) * _WK[None, :]).sum(axis=1)
+    valk = h * (y * _WK).sum(axis=1)
+    valg = h * (y[:, 1::2] * _WG).sum(axis=1)  # the Gauss nodes, _IG
+    resabs = np.abs(h) * (np.abs(y) * _WK).sum(axis=1)
     return valk, np.abs(valk - valg), np.zeros(valk.size, dtype=int), resabs
-
-
-def _refine(boxes: list[tuple], spec: QuadratureSpec) -> Generator[list, list, Estimate]:
-    """Globally adaptive refinement of one integral, summed over boxes.
-
-    A generator: it yields the boxes it wants evaluated and is sent back one
-    (box, value, error, split_axis) row per box, in order; it returns the
-    Estimate.  The boxes sit in a heap keyed by error; each step bisects a
-    batch of the worst along their split axes, under the stop rule of the
-    module docstring.
-    """
-    heap: list = []
-    serial = 0
-    total = 0.0
-    total_err = 0.0
-
-    for box, value, err, axis in (yield boxes):
-        total += value
-        total_err += err
-        heapq.heappush(heap, (-err, serial, box, value, axis))
-        serial += 1
-
-    splits = 0
-    while splits < spec.max_subdivisions:
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if total_err <= tol:
-            break
-        batch = []
-        budget = min(8, spec.max_subdivisions - splits)
-        take_worst = False
-        while heap and len(batch) < budget:
-            neg_err, _, box, value, axis = heapq.heappop(heap)
-            if not take_worst and -neg_err <= 0.25 * tol / max(len(batch), 1):
-                if batch:
-                    heapq.heappush(heap, (neg_err, serial, box, value, axis))
-                    serial += 1
-                    break
-                # every box is under the bar but their sum is not
-                take_worst = True
-            lo, hi = box[2 * axis], box[2 * axis + 1]
-            if hi - lo <= (abs(lo) + abs(hi)) * 1e-15 + 1e-300:
-                # cannot be split in double precision: retire it, error kept
-                splits += 1
-                continue
-            batch.append((box, value, -neg_err, axis))
-        if not batch:
-            break
-        halves = []
-        for box, _, _, axis in batch:
-            k = 2 * axis
-            mid = 0.5 * (box[k] + box[k + 1])
-            halves += [box[: k + 1] + (mid,) + box[k + 2 :], box[:k] + (mid,) + box[k + 1 :]]
-        children = yield halves
-        for (_, value, err, _), left, right in zip(batch, children[::2], children[1::2]):
-            total += left[1] + right[1] - value
-            total_err += left[2] + right[2] - err
-            for box, cvalue, cerr, caxis in (left, right):
-                heapq.heappush(heap, (-cerr, serial, box, cvalue, caxis))
-                serial += 1
-            splits += 1
-
-    tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-    status = Status.CONVERGED if total_err <= tol else Status.MAX_SUBDIVISIONS_REACHED
-    return Estimate(float(total), float(total_err), status)
 
 
 # the packing rule's caps on boxes per integrand call (module docstring):
@@ -343,67 +283,115 @@ _CALL_RECTS = 16
 
 
 def _drive(
-    rule: Callable, f: Callable, jobs: dict[int, list[tuple]], spec: QuadratureSpec, cap: int
-) -> dict[int, Estimate]:
-    """Run one ``_refine`` per job, all advancing together.
+    rule: Callable, f: Callable, n: int, live: np.ndarray, boxes: np.ndarray, sizes: np.ndarray,
+    spec: QuadratureSpec, cap: int,
+) -> list[Estimate]:
+    """The Estimates of n integrals, refined together.
 
-    jobs maps an owner index to its initial boxes; the result maps it to
-    its Estimate.  Each round makes one call ``rule(f, boxes, owner)``.  It
-    takes the waiting batches whole, in arrival order, while they fit in
-    ``cap`` boxes (the first always fits), and starts a new integral only
-    while nothing waits and the call has room, so few heaps are alive at
-    once.  A single job makes the calls it would make alone.
+    Integral live[j] starts from the next sizes[j] rows of boxes; the
+    others are empty and give zero.  Each round makes one call
+    ``rule(f, boxes, owner)``: it takes the waiting batches whole, in queue
+    order, while they fit in ``cap`` boxes (the first always fits), and
+    starts a new integral only while nothing waits and the call has room.
     """
-    results: dict[int, Estimate] = {}
-    fresh = iter(jobs.items())
-    waiting: deque = deque()  # (owner, refiner, requested boxes)
+    owners, first = live.tolist(), [0, *np.cumsum(sizes).tolist()]
+    abs_tol, rel_tol, most = spec.abs_tol, spec.rel_tol, spec.max_subdivisions
+    found = [Estimate(0.0, 0.0, Status.CONVERGED)] * n
+    # a queue entry: integral, its requested boxes, the (value, error) of
+    # each box they halve (None for initial boxes), and its state [total,
+    # summed error, splits, next serial, heap of (-error, serial, box,
+    # value, split axis)]
+    queue: deque = deque()
+    fresh = 0
+    push, pop = heapq.heappush, heapq.heappop
     while True:
-        call: list = []
-        size = 0
-        while waiting and (not call or size + len(waiting[0][2]) <= cap):
-            call.append(waiting.popleft())
-            size += len(call[-1][2])
-        while not waiting and size < cap:
-            job = next(fresh, None)
-            if job is None:
-                break
-            refiner = _refine(job[1], spec)
-            item = (job[0], refiner, next(refiner))
-            if call and size + len(item[2]) > cap:
-                waiting.append(item)
+        call, size = [], 0
+        while queue and (not call or size + len(queue[0][1]) <= cap):
+            call.append(queue.popleft())
+            size += len(call[-1][1])
+        while not queue and size < cap and fresh < len(owners):
+            item = (fresh, boxes[first[fresh] : first[fresh + 1]].tolist(), None, [0.0, 0.0, 0, 0, []])
+            fresh += 1
+            if call and size + len(item[1]) > cap:
+                queue.append(item)
             else:
                 call.append(item)
-                size += len(item[2])
+                size += len(item[1])
         if not call:
-            return results
-        boxes = [box for _, _, requested in call for box in requested]
-        owner = np.array([o for o, _, requested in call for _ in requested])
-        value, error, axis, resabs = rule(f, np.array(boxes, dtype=float), owner)
+            return found
+        requested = [box for item in call for box in item[1]]
+        owner = np.array([owners[item[0]] for item in call for _ in item[1]])
+        value, error, axis, resabs = rule(f, np.array(requested), owner)
         error = np.maximum(error, 50.0 * _EPS * resabs)
-        rows = list(zip(boxes, value.tolist(), error.tolist(), axis.tolist()))
-        start = 0
-        for o, refiner, requested in call:
-            stop = start + len(requested)
-            try:
-                waiting.append((o, refiner, refiner.send(rows[start:stop])))
-            except StopIteration as done:
-                results[o] = done.value
-            start = stop
+        vals, errs, axes = value.tolist(), error.tolist(), axis.tolist()
+        r = 0
+        for j, batch_in, parents, state in call:
+            end = r + len(batch_in)
+            t, e, splits, serial, heap = state
+            if parents is None:
+                for i in range(r, end):
+                    t += vals[i]
+                    e += errs[i]
+            else:
+                for i, (pv, pe) in zip(range(r, end, 2), parents):
+                    t += vals[i] + vals[i + 1] - pv
+                    e += errs[i] + errs[i + 1] - pe
+            tol = max(abs_tol, rel_tol * abs(t))
+            batch: list = []
+            if e > tol and splits < most:
+                for i in range(r, end):
+                    push(heap, (-errs[i], serial, requested[i], vals[i], axes[i]))
+                    serial += 1
+                budget, bar = min(8, most - splits), 0.25 * tol
+                take_worst = False
+                while heap and len(batch) < budget:
+                    top = pop(heap)
+                    if not take_worst and -top[0] <= bar / max(len(batch), 1):
+                        if batch:
+                            push(heap, (top[0], serial, *top[2:]))
+                            serial += 1
+                            break
+                        # every box is under the bar but their sum is not
+                        take_worst = True
+                    box, k = top[2], 2 * top[4]
+                    if box[k + 1] - box[k] <= (abs(box[k]) + abs(box[k + 1])) * 1e-15 + 1e-300:
+                        # cannot be split in double precision: retire it, error kept
+                        splits += 1
+                        continue
+                    batch.append(top)
+            if batch:
+                halves = []
+                for _, _, box, _, k in batch:
+                    k *= 2
+                    left, right = box[:], box[:]
+                    left[k + 1] = right[k] = 0.5 * (box[k] + box[k + 1])
+                    halves += (left, right)
+                state[:] = t, e, splits + len(batch), serial, heap
+                queue.append((j, halves, [(top[3], -top[0]) for top in batch], state))
+            else:
+                status = Status.CONVERGED if e <= tol else Status.MAX_SUBDIVISIONS_REACHED
+                found[owners[j]] = Estimate(t, e, status)
+            r = end
 
 
-def _initial_panels(a: float, b: float, breakpoints: Iterable[float]) -> list[tuple[float, float]]:
-    # each breakpoint is bracketed with short flanking panels so that a
-    # narrow feature sitting exactly on it lands near a quadrature node
-    delta = 1e-3 * (b - a)
-    pts = {a, b}
-    for p in breakpoints:
-        if a < p < b:
-            pts.add(p)
-            for q in (p - delta, p + delta):
-                if a < q < b:
-                    pts.add(q)
-    spts = sorted(pts)
-    return list(zip(spts[:-1], spts[1:]))
+def _initial_panels(a: np.ndarray, b: np.ndarray, breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The initial panels of the intervals [a[i], b[i]], a[i] < b[i].
+
+    Their edges are a[i], b[i] and the breakpoints of row i of breaks (NaN
+    for none) inside the interval; each breakpoint is bracketed with short
+    flanking panels so that a narrow feature sitting exactly on it lands
+    near a quadrature node.  Returns every interval's panels in turn, as
+    rows (lo, hi), and the number of each.
+    """
+    lo, hi = a[:, None], b[:, None]
+    delta = 1e-3 * (hi - lo)
+    inside = (lo < breaks) & (breaks < hi)
+    q = np.concatenate((breaks, breaks - delta, breaks + delta), axis=1)
+    keep = np.concatenate((inside, inside, inside), axis=1) & (lo < q) & (q < hi)
+    edges = np.concatenate((lo, hi, np.where(keep, q, np.nan)), axis=1)
+    edges.sort(axis=1)  # NaN last
+    new = edges[:, 1:] > edges[:, :-1]  # neither a repeat nor NaN
+    return np.stack((edges[:, :-1][new], edges[:, 1:][new]), axis=1), new.sum(axis=1)
 
 
 def integrate_finite(
@@ -435,16 +423,26 @@ def integrate_finite(
 
 
 def _integrate_many(f, a, b, spec, breakpoints) -> list[Estimate]:
-    """The lockstep form of integrate_finite; an empty interval gives zero."""
-    jobs = {}
-    for i, (lo, hi, breaks) in enumerate(zip(a, b, breakpoints, strict=True)):
-        if not (hi > lo):
-            if hi == lo:
-                continue
-            raise QuadratureError(f"bad interval [{lo}, {hi}]")
-        jobs[i] = _initial_panels(lo, hi, breaks)
-    found = _drive(_panel_eval, f, jobs, spec, _CALL_BOXES)
-    return [found.get(i, Estimate(0.0, 0.0, Status.CONVERGED)) for i in range(len(a))]
+    """The lockstep form of integrate_finite; an empty interval gives zero.
+
+    breakpoints holds one sequence per interval, or is an array with a row
+    per interval padded with NaN.
+    """
+    lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not (len(lo) == len(hi) == len(breakpoints)):
+        raise ValueError("a, b and breakpoints must have one entry per integral")
+    ordered = hi >= lo
+    if not ordered.all():
+        i = int(ordered.argmin())
+        raise QuadratureError(f"bad interval [{a[i]}, {b[i]}]")
+    if not isinstance(breakpoints, np.ndarray):
+        rows = breakpoints
+        breakpoints = np.full((len(rows), max(map(len, rows), default=0)), np.nan)
+        for row, breaks in zip(breakpoints, rows):
+            row[: len(breaks)] = breaks
+    live = (hi > lo).nonzero()[0]
+    boxes, sizes = _initial_panels(lo[live], hi[live], breakpoints[live])
+    return _drive(_panel_eval, f, len(lo), live, boxes, sizes, spec, _CALL_BOXES)
 
 
 def _log_map_window(
@@ -602,10 +600,12 @@ def _integrate_2d_many(f2, xspans, yspan, spec, xbreaks, ybreaks) -> list[Estima
             raise QuadratureError(f"bad interval [{lo}, {hi}]")
     y_lo, y_hi = yspan
     ys = sorted({y_lo, y_hi, *(p for p in ybreaks if y_lo < p < y_hi)})
-    jobs = {}
+    live, boxes, sizes = [], [], []
     for i, ((lo, hi), breaks) in enumerate(zip(xspans, xbreaks, strict=True)):
         if hi > lo and y_hi > y_lo:
             xs = sorted({lo, hi, *(p for p in breaks if lo < p < hi)})
-            jobs[i] = [(x0, x1, y0, y1) for x0, x1 in zip(xs[:-1], xs[1:]) for y0, y1 in zip(ys[:-1], ys[1:])]
-    found = _drive(_rect_eval, f2, jobs, spec, _CALL_RECTS)
-    return [found.get(i, Estimate(0.0, 0.0, Status.CONVERGED)) for i in range(len(xspans))]
+            boxes += [(x0, x1, y0, y1) for x0, x1 in zip(xs[:-1], xs[1:]) for y0, y1 in zip(ys[:-1], ys[1:])]
+            live.append(i)
+            sizes.append((len(xs) - 1) * (len(ys) - 1))
+    boxes = np.array(boxes, dtype=float).reshape(-1, 4)
+    return _drive(_rect_eval, f2, len(xspans), np.array(live, dtype=np.intp), boxes, np.array(sizes), spec, _CALL_RECTS)

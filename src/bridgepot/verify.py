@@ -27,11 +27,12 @@ from .errors import BridgepotError
 from .feynman_kac import McConfig, _estimates
 from .functionals import (
     BridgeSpec,
+    _n_functionals,
+    _s_functionals,
     build_compact_counterexample,
     j_transform,
     k_norm,
     k_transform,
-    n_functional,
     newton_norm,
     newton_potential,
     s_functional,
@@ -57,7 +58,7 @@ from .potentials import (
     lp_halfd_norm,
     parse_potential,
 )
-from .quadrature import QuadratureSpec
+from .quadrature import DEFAULT_SPEC_1D, QuadratureSpec
 from .search import SearchStrategy
 
 __all__ = ["Finding", "SuiteReport", "run_suite", "SUITE_IDS"]
@@ -235,17 +236,17 @@ def _suite_lu(cfg: dict) -> tuple[list[Finding], dict]:
     sup_j = 0.0
 
     for V in potentials:
-        for t in ts:
-            for x, y in pairs:
-                spec = BridgeSpec(t, tuple(x), tuple(y))
-                sv = s_functional(V, spec).value
-                nv = n_functional(V, spec).value
-                nv2 = n_functional(V, BridgeSpec(t / 2.0, spec.x, spec.y)).value
-                if nv > 0 and sv > 0:
-                    ratios_u.append(sv / nv)
-                if nv2 > 0 and sv > 0:
-                    ratios_l.append(sv / nv2)
-                sup_s = max(sup_s, sv)
+        # S at every (t, pair), and N at t and at t/2, as many-row calls
+        specs = [BridgeSpec(t, tuple(x), tuple(y)) for t in ts for x, y in pairs]
+        s_vals = [est.value for est in _s_functionals(V, specs, DEFAULT_SPEC_1D)]
+        halved = [BridgeSpec(spec.t / 2.0, spec.x, spec.y) for spec in specs]
+        n_vals = [est.value for est in _n_functionals(V, specs + halved, DEFAULT_SPEC_1D)]
+        for sv, nv, nv2 in zip(s_vals, n_vals[: len(specs)], n_vals[len(specs) :]):
+            if nv > 0 and sv > 0:
+                ratios_u.append(sv / nv)
+            if nv2 > 0 and sv > 0:
+                ratios_l.append(sv / nv2)
+            sup_s = max(sup_s, sv)
 
     for x, y in pairs:
         sup_j = max(sup_j, j_transform(potentials[0], x, y, d).value)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as spi
 
+import reference_engine
 from bridgepot import quadrature
 from bridgepot.quadrature import (
     Estimate,
@@ -377,6 +378,118 @@ def test_2d_lockstep_calls_take_at_most_16_boxes_unless_one_integral():
     assert any(size > 16 * 225 for size, _ in calls)
     assert any(len(owners) > 1 for _, owners in calls)
     assert {e.status for e in ests} == {Status.CONVERGED, Status.MAX_SUBDIVISIONS_REACHED}
+
+
+# --------------------------------------------------------------------------
+# The engine against its generator form (reference_engine.py), bit for bit
+# --------------------------------------------------------------------------
+
+ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _traced(f):
+    """f, and the owners and nodes of each of its calls."""
+    calls = []
+
+    def traced(owner, *x):
+        calls.append([owner.tolist(), *(v.tolist() for v in x)])
+        return f(owner, *x)
+
+    return traced, calls
+
+
+@st.composite
+def rare_families(draw):
+    """Lockstep 1D integrals that also reach the stop rule's rare branches.
+
+    Kind 0 is cos(freq x) + sqrt|x - k|.  Kind 1 is sqrt(x - k) right of
+    its kink and 0 left of it, with breakpoints in the zero part, so whole
+    panels have zero error.  Kind 2 is sqrt|x - k| on an interval 1e-15 to
+    1e-13 of its position wide, so boxes soon become too short to bisect
+    and retire.  Kind 3 is a constant: a box's error is then the roundoff
+    floor 50 eps |f| width, the same bits for boxes of the same width, so
+    halves of one box tie and the serial order decides which is bisected.
+    A third of the families take a tolerance under that floor, where
+    take-the-worst runs.
+    """
+    n = draw(st.integers(1, 40))
+    a, b, kind, freq, kink, breaks = [], [], [], [], [], []
+    for _ in range(n):
+        kind.append(draw(st.sampled_from([0, 1, 2, 3])))
+        if kind[-1] == 2:
+            lo = draw(st.floats(0.5, 4.0)) * draw(st.sampled_from([-1.0, 1.0]))
+            hi = lo + abs(lo) * 10.0 ** draw(st.floats(-15.0, -13.0))
+        else:
+            lo = draw(st.floats(-3.0, 3.0))
+            hi = lo + draw(st.just(0.0) | st.floats(0.1, 6.0))
+        k = draw(st.floats(lo, hi))
+        a.append(lo)
+        b.append(hi)
+        freq.append(draw(st.floats(0.0, 5.0)))
+        kink.append(k)
+        zero_part = st.floats(lo, k) if kind[-1] == 1 else st.floats(lo, hi)
+        breaks.append(([k] if draw(st.booleans()) else []) + draw(st.lists(zero_part, max_size=6)))
+    rel_tol = 10.0 ** draw(st.floats(-12.0, -6.0) | st.floats(-17.0, -14.0))
+    spec = QuadratureSpec(rel_tol=rel_tol, max_subdivisions=draw(st.integers(1, 30)))
+    kind, freq, kink = np.array(kind), np.array(freq), np.array(kink)
+
+    def f(owner, x):
+        k, dx = kind[owner], x - kink[owner]
+        wave, root = np.cos(freq[owner] * x), np.sqrt(np.abs(dx))
+        out = np.where((k == 1) & (dx < 0.0), 0.0, root)
+        return np.where(k == 0, wave + root, np.where(k == 3, 1.0 + freq[owner], out))
+
+    return f, a, b, breaks, spec
+
+
+@ORACLE
+@given(rare_families())
+def test_engine_equals_its_generator_form(case):
+    f, a, b, breaks, spec = case
+    new, new_calls = _traced(f)
+    got = integrate_finite(new, a, b, spec, breaks)
+    old, old_calls = _traced(f)
+    jobs = {i: reference_engine._initial_panels(a[i], b[i], breaks[i]) for i in range(len(a)) if b[i] > a[i]}
+    found = reference_engine._drive(quadrature._panel_eval, old, jobs, spec, quadrature._CALL_BOXES)
+    want = [found.get(i, Estimate(0.0, 0.0, Status.CONVERGED)) for i in range(len(a))]
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert new_calls == old_calls
+
+
+@st.composite
+def rare_families_2d(draw):
+    """families_2d, plus constant integrands (boxes of one size tie, as in
+    rare_families), x-spans 1e-15 to 1e-13 of their position wide (boxes
+    that retire), and a third of the tolerances under the roundoff floor."""
+    f2, spans, breaks, spec = draw(families_2d())
+    kind = np.array([draw(st.sampled_from([0, 1, 2])) for _ in spans])
+    spans = [(lo, lo + abs(lo) * 10.0 ** draw(st.floats(-15.0, -13.0))) if k == 2 and lo else (lo, hi)
+             for k, (lo, hi) in zip(kind, spans)]
+    if draw(st.booleans()):
+        spec = QuadratureSpec(rel_tol=10.0 ** draw(st.floats(-17.0, -14.0)), max_subdivisions=spec.max_subdivisions)
+
+    def g2(owner, x, y):
+        return np.where(kind[owner] == 1, 2.0, f2(owner, x, y))
+
+    return g2, spans, breaks, spec
+
+
+@ORACLE
+@given(rare_families_2d())
+def test_2d_engine_equals_its_generator_form(case):
+    f2, spans, breaks, spec = case
+    new, new_calls = _traced(f2)
+    got = integrate_2d(new, spans, (0.0, 2.0), spec, breaks, [0.5])
+    old, old_calls = _traced(f2)
+    jobs = {}
+    for i, ((lo, hi), xbreaks) in enumerate(zip(spans, breaks)):
+        xs = sorted({lo, hi, *(p for p in xbreaks if lo < p < hi)})
+        if hi > lo:
+            jobs[i] = [(x0, x1, y0, y1) for x0, x1 in zip(xs[:-1], xs[1:]) for y0, y1 in ((0.0, 0.5), (0.5, 2.0))]
+    found = reference_engine._drive(quadrature._rect_eval, old, jobs, spec, quadrature._CALL_RECTS)
+    want = [found.get(i, Estimate(0.0, 0.0, Status.CONVERGED)) for i in range(len(spans))]
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert new_calls == old_calls
 
 
 def test_lockstep_rejects_a_reversed_interval():
