@@ -435,7 +435,7 @@ def _integrate_many(f, a, b, spec, breakpoints) -> list[Estimate]:
     if not ordered.all():
         i = int(ordered.argmin())
         raise QuadratureError(f"bad interval [{a[i]}, {b[i]}]")
-    if not isinstance(breakpoints, np.ndarray):
+    if not (isinstance(breakpoints, np.ndarray) and breakpoints.ndim == 2):
         rows = breakpoints
         breakpoints = np.full((len(rows), max(map(len, rows), default=0)), np.nan)
         for row, breaks in zip(breakpoints, rows):

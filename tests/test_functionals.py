@@ -741,9 +741,10 @@ EIGHT_BALLS = Sum(tuple(BallIndicator(None, 0.25 * k, -1.0 / k) for k in range(1
 # eight (numpy 2.4, x86-64), one probe alone at about 95 KiB; with the
 # transverse rule's rows in one block the eight balls reach about 2.4 MiB.
 # On the shell (d = 3) every outer node's Gaussian mean is an inner
-# integral, so the call also holds the inner engine's state: 885 KiB with
-# one generator and heap per integral, 810 KiB now, and 1.2 MiB when every
-# inner integral's initial boxes were Python lists from the start.
+# integral, so the call also holds the inner engine's state.  It peaks at
+# about 810 KiB; the bound is the 885 KiB of the generator engine in
+# tests/reference_engine.py, which an engine holding every inner integral's
+# boxes at once exceeds (1.2 MiB with all initial boxes as Python lists).
 _PATH_PEAK = 1024 * 1024
 _SHELL_PEAK = 900 * 1024
 
