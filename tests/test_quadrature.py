@@ -409,7 +409,7 @@ def rare_families(draw):
     and retire.  Kind 3 is a constant: a box's error is then the roundoff
     floor 50 eps |f| width, the same bits for boxes of the same width, so
     halves of one box tie and the serial order decides which is bisected.
-    A third of the families take a tolerance under that floor, where
+    Half of the families take a tolerance under that floor, where
     take-the-worst runs.
     """
     n = draw(st.integers(1, 40))
@@ -460,7 +460,7 @@ def test_engine_equals_its_generator_form(case):
 def rare_families_2d(draw):
     """families_2d, plus constant integrands (boxes of one size tie, as in
     rare_families), x-spans 1e-15 to 1e-13 of their position wide (boxes
-    that retire), and a third of the tolerances under the roundoff floor."""
+    that retire), and half of the tolerances under the roundoff floor."""
     f2, spans, breaks, spec = draw(families_2d())
     kind = np.array([draw(st.sampled_from([0, 1, 2])) for _ in spans])
     spans = [(lo, lo + abs(lo) * 10.0 ** draw(st.floats(-15.0, -13.0))) if k == 2 and lo else (lo, hi)
