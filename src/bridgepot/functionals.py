@@ -884,8 +884,7 @@ def _radial_gaussian_mean(
 
     # every probe is seeded with all of the profile's breakpoints: only
     # those inside its range cut a panel
-    breaks = np.broadcast_to(np.array(prof.breakpoints, dtype=float), (idx.size, len(prof.breakpoints)))
-    ests = integrate_finite(integrand, lo[idx], hi[idx], q, breaks)
+    ests = integrate_finite(integrand, lo[idx], hi[idx], q, [prof.breakpoints] * idx.size)
     out[idx] = [est.value for est in ests]
     statuses = [(i, est.status) for i, est in zip(idx.tolist(), ests) if not est.converged]
     return out.reshape(np.shape(mu)), statuses

@@ -27,9 +27,9 @@ them one step: add the new values to its totals, apply the stop rule, and
 bisect the batch its heap of (-error, serial) keys gives up.  An integral
 is only that state (totals, splits, next serial, heap), alive from its
 first round to its last; one that meets its tolerance on the boxes just
-evaluated never fills its heap.  The initial panels of every integral of
-a call come from one array pass.  One integral is the case n = 1, with
-exactly the calls it would make alone.
+evaluated never fills its heap.  An integral's initial panels are built
+when it starts, so only the integrals alive hold boxes.  One integral is
+the case n = 1, with exactly the calls it would make alone.
 
 Lockstep integrals.  ``integrate_finite(f, a, b, spec, breakpoints)`` with
 sequences a and b integrates f over each [a[i], b[i]] and returns a list of
@@ -283,18 +283,18 @@ _CALL_RECTS = 16
 
 
 def _drive(
-    rule: Callable, f: Callable, n: int, live: np.ndarray, boxes: np.ndarray, sizes: np.ndarray,
-    spec: QuadratureSpec, cap: int,
+    rule: Callable, f: Callable, n: int, jobs: Iterable[tuple[int, list]], spec: QuadratureSpec, cap: int
 ) -> list[Estimate]:
     """The Estimates of n integrals, refined together.
 
-    Integral live[j] starts from the next sizes[j] rows of boxes; the
-    others are empty and give zero.  Each round makes one call
+    jobs yields (i, initial boxes of integral i); an integral it does not
+    yield is empty and gives zero.  Each round makes one call
     ``rule(f, boxes, owner)``: it takes the waiting batches whole, in queue
     order, while they fit in ``cap`` boxes (the first always fits), and
-    starts a new integral only while nothing waits and the call has room.
+    starts a new integral only while nothing waits and the call has room,
+    so jobs is read only as far as that.
     """
-    owners, first = live.tolist(), [0, *np.cumsum(sizes).tolist()]
+    jobs = iter(jobs)
     abs_tol, rel_tol, most = spec.abs_tol, spec.rel_tol, spec.max_subdivisions
     found = [Estimate(0.0, 0.0, Status.CONVERGED)] * n
     # a queue entry: integral, its requested boxes, the (value, error) of
@@ -302,16 +302,17 @@ def _drive(
     # summed error, splits, next serial, heap of (-error, serial, box,
     # value, split axis)]
     queue: deque = deque()
-    fresh = 0
     push, pop = heapq.heappush, heapq.heappop
     while True:
         call, size = [], 0
         while queue and (not call or size + len(queue[0][1]) <= cap):
             call.append(queue.popleft())
             size += len(call[-1][1])
-        while not queue and size < cap and fresh < len(owners):
-            item = (fresh, boxes[first[fresh] : first[fresh + 1]].tolist(), None, [0.0, 0.0, 0, 0, []])
-            fresh += 1
+        while not queue and size < cap:
+            job = next(jobs, None)
+            if job is None:
+                break
+            item = (*job, None, [0.0, 0.0, 0, 0, []])
             if call and size + len(item[1]) > cap:
                 queue.append(item)
             else:
@@ -320,7 +321,7 @@ def _drive(
         if not call:
             return found
         requested = [box for item in call for box in item[1]]
-        owner = np.array([owners[item[0]] for item in call for _ in item[1]])
+        owner = np.array([item[0] for item in call for _ in item[1]])
         value, error, axis, resabs = rule(f, np.array(requested), owner)
         error = np.maximum(error, 50.0 * _EPS * resabs)
         vals, errs, axes = value.tolist(), error.tolist(), axis.tolist()
@@ -363,35 +364,30 @@ def _drive(
                 halves = []
                 for _, _, box, _, k in batch:
                     k *= 2
-                    left, right = box[:], box[:]
-                    left[k + 1] = right[k] = 0.5 * (box[k] + box[k + 1])
-                    halves += (left, right)
+                    mid = 0.5 * (box[k] + box[k + 1])
+                    halves += (box[: k + 1] + (mid,) + box[k + 2 :], box[:k] + (mid,) + box[k + 1 :])
                 state[:] = t, e, splits + len(batch), serial, heap
                 queue.append((j, halves, [(top[3], -top[0]) for top in batch], state))
             else:
                 status = Status.CONVERGED if e <= tol else Status.MAX_SUBDIVISIONS_REACHED
-                found[owners[j]] = Estimate(t, e, status)
+                found[j] = Estimate(t, e, status)
             r = end
 
 
-def _initial_panels(a: np.ndarray, b: np.ndarray, breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The initial panels of the intervals [a[i], b[i]], a[i] < b[i].
-
-    Their edges are a[i], b[i] and the breakpoints of row i of breaks (NaN
-    for none) inside the interval; each breakpoint is bracketed with short
-    flanking panels so that a narrow feature sitting exactly on it lands
-    near a quadrature node.  Returns every interval's panels in turn, as
-    rows (lo, hi), and the number of each.
-    """
-    lo, hi = a[:, None], b[:, None]
-    delta = 1e-3 * (hi - lo)
-    inside = (lo < breaks) & (breaks < hi)
-    q = np.concatenate((breaks, breaks - delta, breaks + delta), axis=1)
-    keep = np.concatenate((inside, inside, inside), axis=1) & (lo < q) & (q < hi)
-    edges = np.concatenate((lo, hi, np.where(keep, q, np.nan)), axis=1)
-    edges.sort(axis=1)  # NaN last
-    new = edges[:, 1:] > edges[:, :-1]  # neither a repeat nor NaN
-    return np.stack((edges[:, :-1][new], edges[:, 1:][new]), axis=1), new.sum(axis=1)
+def _initial_panels(a: float, b: float, breakpoints: Iterable[float]) -> list[tuple[float, float]]:
+    """The initial panels (lo, hi) of [a, b], a < b: their edges are a, b
+    and the breakpoints inside, each bracketed with short flanking panels
+    so that a narrow feature sitting exactly on it lands near a node."""
+    delta = 1e-3 * (b - a)
+    pts = {a, b}
+    for p in breakpoints:
+        if a < p < b:
+            pts.add(p)
+            for q in (p - delta, p + delta):
+                if a < q < b:
+                    pts.add(q)
+    spts = sorted(pts)
+    return list(zip(spts[:-1], spts[1:]))
 
 
 def integrate_finite(
@@ -425,24 +421,16 @@ def integrate_finite(
 def _integrate_many(f, a, b, spec, breakpoints) -> list[Estimate]:
     """The lockstep form of integrate_finite; an empty interval gives zero.
 
-    breakpoints holds one sequence per interval, or is an array with a row
-    per interval padded with NaN.
+    Each integral's initial panels are built when it is started.
     """
-    lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    lo, hi = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
     if not (len(lo) == len(hi) == len(breakpoints)):
         raise ValueError("a, b and breakpoints must have one entry per integral")
-    ordered = hi >= lo
-    if not ordered.all():
-        i = int(ordered.argmin())
-        raise QuadratureError(f"bad interval [{a[i]}, {b[i]}]")
-    if not (isinstance(breakpoints, np.ndarray) and breakpoints.ndim == 2):
-        rows = breakpoints
-        breakpoints = np.full((len(rows), max(map(len, rows), default=0)), np.nan)
-        for row, breaks in zip(breakpoints, rows):
-            row[: len(breaks)] = breaks
-    live = (hi > lo).nonzero()[0]
-    boxes, sizes = _initial_panels(lo[live], hi[live], breakpoints[live])
-    return _drive(_panel_eval, f, len(lo), live, boxes, sizes, spec, _CALL_BOXES)
+    for x0, x1 in zip(lo, hi):
+        if not (x1 >= x0):
+            raise QuadratureError(f"bad interval [{x0}, {x1}]")
+    jobs = ((i, _initial_panels(lo[i], hi[i], breakpoints[i])) for i in range(len(lo)) if hi[i] > lo[i])
+    return _drive(_panel_eval, f, len(lo), jobs, spec, _CALL_BOXES)
 
 
 def _log_map_window(
@@ -600,12 +588,9 @@ def _integrate_2d_many(f2, xspans, yspan, spec, xbreaks, ybreaks) -> list[Estima
             raise QuadratureError(f"bad interval [{lo}, {hi}]")
     y_lo, y_hi = yspan
     ys = sorted({y_lo, y_hi, *(p for p in ybreaks if y_lo < p < y_hi)})
-    live, boxes, sizes = [], [], []
+    jobs = []
     for i, ((lo, hi), breaks) in enumerate(zip(xspans, xbreaks, strict=True)):
         if hi > lo and y_hi > y_lo:
             xs = sorted({lo, hi, *(p for p in breaks if lo < p < hi)})
-            boxes += [(x0, x1, y0, y1) for x0, x1 in zip(xs[:-1], xs[1:]) for y0, y1 in zip(ys[:-1], ys[1:])]
-            live.append(i)
-            sizes.append((len(xs) - 1) * (len(ys) - 1))
-    boxes = np.array(boxes, dtype=float).reshape(-1, 4)
-    return _drive(_rect_eval, f2, len(xspans), np.array(live, dtype=np.intp), boxes, np.array(sizes), spec, _CALL_RECTS)
+            jobs.append((i, [(x0, x1, y0, y1) for x0, x1 in zip(xs[:-1], xs[1:]) for y0, y1 in zip(ys[:-1], ys[1:])]))
+    return _drive(_rect_eval, f2, len(xspans), jobs, spec, _CALL_RECTS)

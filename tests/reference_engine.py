@@ -1,8 +1,7 @@
 """The lockstep engine of ``bridgepot.quadrature`` in its generator form.
 
-``_refine`` is one generator per integral, ``_drive`` the loop that
-advances them together and ``_initial_panels`` the panels one interval
-starts from, verbatim but for the imports.  The property tests in
+``_refine`` is one generator per integral and ``_drive`` the loop that
+advances them together, verbatim but for the imports.  The property tests in
 ``test_quadrature.py`` hold the package's engine to these bit for bit,
 integrand calls included.
 """
@@ -11,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Generator, Iterable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -130,17 +129,3 @@ def _drive(
                 results[o] = done.value
             start = stop
 
-
-def _initial_panels(a: float, b: float, breakpoints: Iterable[float]) -> list[tuple[float, float]]:
-    # each breakpoint is bracketed with short flanking panels so that a
-    # narrow feature sitting exactly on it lands near a quadrature node
-    delta = 1e-3 * (b - a)
-    pts = {a, b}
-    for p in breakpoints:
-        if a < p < b:
-            pts.add(p)
-            for q in (p - delta, p + delta):
-                if a < q < b:
-                    pts.add(q)
-    spts = sorted(pts)
-    return list(zip(spts[:-1], spts[1:]))

@@ -449,7 +449,7 @@ def test_engine_equals_its_generator_form(case):
     new, new_calls = _traced(f)
     got = integrate_finite(new, a, b, spec, breaks)
     old, old_calls = _traced(f)
-    jobs = {i: reference_engine._initial_panels(a[i], b[i], breaks[i]) for i in range(len(a)) if b[i] > a[i]}
+    jobs = {i: quadrature._initial_panels(a[i], b[i], breaks[i]) for i in range(len(a)) if b[i] > a[i]}
     found = reference_engine._drive(quadrature._panel_eval, old, jobs, spec, quadrature._CALL_BOXES)
     want = [found.get(i, Estimate(0.0, 0.0, Status.CONVERGED)) for i in range(len(a))]
     assert list(map(repr, got)) == list(map(repr, want))

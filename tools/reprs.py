@@ -1,14 +1,16 @@
 """Record every number the benchmark workloads and ``bridgepot verify`` print,
 and compare two such records bit for bit.
 
-    python tools/reprs.py write OUT.json [--root CHECKOUT] [--seeds 0 1 2]
+    python tools/reprs.py write OUT.json [--root CHECKOUT]
     python tools/reprs.py diff A.json B.json
 
-``write`` runs, from the checkout CHECKOUT (default: the one holding this
-file), every operation of every workload of ``bench/workloads.py`` once per
-seed, in order, and keeps the ``repr`` of each result; then it runs the
-ten ``bridgepot verify`` suites at their defaults and at ``--seed 0``, one
-process each, and keeps each report's standard output and exit code.
+``write`` builds, from the checkout CHECKOUT (default: the one holding this
+file), every workload of ``bench/workloads.py`` at seeds 0, 1 and 2, makes
+its untimed ``prepare`` calls and then runs every operation once, in order,
+and keeps the ``repr`` of each program result ``prepare`` puts in ``ref``
+and of each operation's result; then it runs the ten ``bridgepot verify``
+suites at their defaults and at ``--seed 0``, one process each, and keeps
+each report's standard output and exit code.
 ``diff`` prints every entry that differs between two records, or is in
 only one, and exits 1 if there is any.  A change meant to move no number
 writes one record per checkout, parent and change, and diffs them.
@@ -26,17 +28,22 @@ import sys
 from pathlib import Path
 
 VERIFY_ARGS = ([], ["--seed", "0"])
+SEEDS = (0, 1, 2)
 CLI = "import sys; from bridgepot.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _workload_reprs(root: Path, seeds: list[int]) -> dict[str, str]:
+def _workload_reprs(root: Path) -> dict[str, str]:
     sys.path[:0] = [str(root / "src"), str(root)]
     from bench import workloads
 
     out = {}
     for name in sorted(workloads.BUILDERS):
-        for seed in seeds:
+        for seed in SEEDS:
             work = workloads.build(name, seed)
+            # with no oracle run, ref holds only what prepare computed
+            work.prepare()
+            for key, value in work.ref.items():
+                out[f"{name}/seed{seed}/{key}"] = repr(value)
             results: dict = {}
             for op in work.ops:
                 try:
@@ -63,8 +70,8 @@ def _verify_reports(root: Path) -> dict[str, dict]:
     return out
 
 
-def write(path: Path, root: Path, seeds: list[int]) -> None:
-    record = {"workloads": _workload_reprs(root, seeds), "verify": _verify_reports(root)}
+def write(path: Path, root: Path) -> None:
+    record = {"workloads": _workload_reprs(root), "verify": _verify_reports(root)}
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"{path}: {len(record['workloads'])} workload reprs, {len(record['verify'])} verify reports")
 
@@ -88,13 +95,12 @@ def main(argv: list[str] | None = None) -> int:
     w = sub.add_parser("write")
     w.add_argument("out", type=Path)
     w.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    w.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     d = sub.add_parser("diff")
     d.add_argument("a", type=Path)
     d.add_argument("b", type=Path)
     args = parser.parse_args(argv)
     if args.command == "write":
-        write(args.out, args.root.resolve(), args.seeds)
+        write(args.out, args.root.resolve())
         return 0
     return diff(args.a, args.b)
 
