@@ -592,9 +592,9 @@ def _newton_potentials(
 ) -> list[Estimate]:
     """newton_potential at each probe xs[i], already checked.
 
-    A bounded radial support integrates every probe in one lockstep call,
-    an unbounded one probe by probe up its growth ladder; the axial route
-    integrates every probe, or every probe's ladder of shells, in one call.
+    A bounded support integrates every probe in one lockstep call; an
+    unbounded one integrates every probe's growth ladder of shells in one
+    lockstep call, and each probe's verdict reads its own slice of them.
     """
     cd = newton_constant(d)
     parts = _split_same_sign_sum(V)
@@ -616,15 +616,24 @@ def _newton_potentials(
         if math.isfinite(prof.support):
             ests = integrate_finite(integrand, [0.0] * len(xs), [prof.support] * len(xs), q, breaks)
             return [est.scaled(cd * area) for est in ests]
-        out = []
-        for i, probe_breaks in enumerate(breaks):
-
-            def shell(lo: float, hi: float, i: int = i, probe_breaks: list = probe_breaks) -> Estimate:
-                return integrate_finite(lambda o, r: integrand(o + i, r), [lo], [hi], q, [probe_breaks])[0]
-
+        # bounded verdicts come from growth ladders over truncations; every
+        # probe's 8 shells are rows of one lockstep call
+        ladders = []
+        for probe_breaks in breaks:
             base = max([b for b in probe_breaks if math.isfinite(b) and b > 0], default=1.0)
-            ladder = [base * 10.0**k for k in range(1, 9)]
-            diag = growth_diagnosis(shell_sum(shell, 0.0), ladder, rel_tol=1e-6)
+            ladders.append([base * 10.0**k for k in range(1, 9)])
+        probe = np.repeat(np.arange(len(xs)), 8)
+        ests = integrate_finite(
+            lambda owner, r: integrand(probe[owner], r),
+            [lo for ladder in ladders for lo in [0.0, *ladder[:-1]]],
+            [hi for ladder in ladders for hi in ladder],
+            q,
+            [breaks[i] for i in probe],
+        )
+        out = []
+        for i, ladder in enumerate(ladders):
+            shells = ests[8 * i : 8 * i + 8]
+            diag = growth_diagnosis(shell_sum(shells, ladder), ladder, rel_tol=1e-6)
             out.append(verdict_estimate(diag).scaled(cd * area))
         return out
 
@@ -634,20 +643,18 @@ def _newton_potentials(
         x1 = [float(xv[0]) for xv in xs]
         if not math.isinf(prof.z1_hi):
             return [est.scaled(cd) for est in _axial_transforms(V, x1, [0.0] * len(x1), d, q)]
-        # bounded verdicts come from growth ladders over truncations; every
-        # probe's shells are integrated in one lockstep call, read in order
+        # as above, with every probe's 12 shells in one lockstep call
         ladders = []
         for x in x1:
             base = max(abs(prof.z1_lo), abs(x), 4.0)
             ladders.append([base * 4.0**k for k in range(1, 13)])
         windows = [w for ladder in ladders for w in zip([prof.z1_lo, *ladder], ladder)]
         probes = [x for x, ladder in zip(x1, ladders) for _ in ladder]
-        found = iter(_axial_transforms(V, probes, [0.0] * len(probes), d, q, windows))
+        ests = _axial_transforms(V, probes, [0.0] * len(probes), d, q, windows)
         out = []
-        for ladder in ladders:
-            shells = {w: next(found) for w in zip([prof.z1_lo, *ladder], ladder)}
-            truncated = shell_sum(lambda lo, hi, shells=shells: shells[lo, hi], prof.z1_lo)
-            diag = growth_diagnosis(truncated, ladder, rel_tol=2e-3)
+        for i, ladder in enumerate(ladders):
+            shells = ests[12 * i : 12 * i + 12]
+            diag = growth_diagnosis(shell_sum(shells, ladder), ladder, rel_tol=2e-3)
             out.append(verdict_estimate(diag).scaled(cd))
         return out
 

@@ -20,8 +20,9 @@ are ruled convergent; anything else is inconclusive.  A verdict is read
 only from converged truncations: one rung that is an unconverged Estimate
 makes it inconclusive.
 
-Where the truncation is an integration range, ``shell_sum`` makes each rung
-integrate only its new shell and add it to a running sum.
+Where the truncation is an integration range, the caller integrates every
+shell between consecutive radii at once, and ``shell_sum`` turns that list
+into the truncation whose rung R is the running sum of the shells up to R.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -149,24 +151,11 @@ def verdict_estimate(diag: GrowthDiagnosis) -> Estimate:
     return Estimate(diag.values[-1], abs(diag.values[-1] - diag.values[-2]), status)
 
 
-def shell_sum(
-    shell: Callable[[float, float], Estimate], start: float
-) -> Callable[[float], Estimate]:
-    """The truncation R -> integral over [start, R], one new shell per call.
+def shell_sum(shells: Sequence[Estimate], radii: Sequence[float]) -> Callable[[float], Estimate]:
+    """The truncation radii[k] -> shells[0] + ... + shells[k], one shell per radius.
 
-    Each call adds ``shell(previous radius, R)`` to the running total and
-    returns it; for a nonnegative integrand the sum meets the relative
-    tolerance each shell meets.  Radii not above the previous raise ValueError.
+    The shells are summed left to right from zero; for a nonnegative
+    integrand the sum meets the relative tolerance each shell meets.
     """
-    last = start
-    total = Estimate(0.0, 0.0, Status.CONVERGED)
-
-    def truncated(radius: float) -> Estimate:
-        nonlocal last, total
-        if not radius > last:
-            raise ValueError(f"shell radius {radius} is not above the previous {last}")
-        total = total + shell(last, radius)
-        last = radius
-        return total
-
-    return truncated
+    sums = list(accumulate(shells, initial=Estimate(0.0, 0.0, Status.CONVERGED)))
+    return dict(zip(radii, sums[1:], strict=True)).__getitem__

@@ -478,9 +478,9 @@ def kappa(
         return Estimate(val, err, inner.status)
 
     beta = float(exponent_override)
-
-    def shell(lo: float, hi: float) -> Estimate:
-        return directional_shell_integral(d, beta, r_max=hi, q=q, r_min=lo)
-
-    diag = growth_diagnosis(shell_sum(shell, 1.0), _KAPPA_LADDER, rel_tol=0.02)
+    shells = [
+        directional_shell_integral(d, beta, r_max=hi, q=q, r_min=lo)
+        for lo, hi in zip((1.0, *_KAPPA_LADDER), _KAPPA_LADDER)
+    ]
+    diag = growth_diagnosis(shell_sum(shells, _KAPPA_LADDER), _KAPPA_LADDER, rel_tol=0.02)
     return verdict_estimate(diag)

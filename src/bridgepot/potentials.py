@@ -703,67 +703,60 @@ def lp_halfd_norm(
         val = abs(V.amplitude) * ball_volume(d, V.radius) ** (2.0 / d)
         return Estimate(val, abs(val) * 1e-14, Status.CONVERGED)
 
+    # a bounded support is one shell; an unbounded one is a growth ladder
+    # whose shells are the rows of one lockstep call
     if V.symmetry is Symmetry.RADIAL:
         prof = radial_profile(V)
         area = sphere_area(d - 1)
-
-        def integrand(r: np.ndarray) -> np.ndarray:
-            return prof.abs_value(r) ** p * r ** (d - 1)
-
-        def shell(lo: float, hi: float) -> Estimate:
-            est = integrate_finite(integrand, lo, hi, q, breakpoints=prof.breakpoints)
-            return est.scaled(area)
-
         if math.isfinite(prof.support):
-            raw = shell(0.0, prof.support)
+            ladder = [prof.support]
         else:
             base = max([b for b in prof.breakpoints if math.isfinite(b)], default=1.0)
             ladder = [base * 10.0**k for k in range(1, 9)]
-            raw = verdict_estimate(growth_diagnosis(shell_sum(shell, 0.0), ladder, rel_tol=1e-6))
+        ests = integrate_finite(
+            lambda owner, r: prof.abs_value(r) ** p * r ** (d - 1),
+            [0.0, *ladder[:-1]],
+            ladder,
+            q,
+            [prof.breakpoints] * len(ladder),
+        )
+        shells = [est.scaled(area) for est in ests]
     else:
         prof = axial_profile(V)
         area = sphere_area(d - 2)
+        ladder = [prof.z1_hi] if math.isfinite(prof.z1_hi) else [10.0**k for k in range(2, 10)]
+        lo = [min(max(prof.z1_lo, r), hi) for r, hi in zip([-math.inf, *ladder[:-1]], ladder)]
+        inner: list[set[Status]] = [set() for _ in ladder]
 
-        def shell_ax(lo: float, hi: float) -> Estimate:
-            lo, hi = max(prof.z1_lo, lo), min(prof.z1_hi, hi)
-            if hi <= lo:
-                return Estimate(0.0, 0.0, Status.CONVERGED)
-
-            inner: set[Status] = set()
-
-            def outer(z1: np.ndarray) -> np.ndarray:
-                chords = np.stack([c(z1) for c in prof.rho_caps])
-                cap = chords.max(axis=0)
-                live = np.flatnonzero(cap > 0)
-                z_live = z1[live]
-                # |V| jumps in rho at every term's chord below the cap
-                breaks = [] if len(chords) == 1 else [
-                    [c for c in chords[:, i] if 0.0 < c < cap[i]] for i in live
-                ]
-                ests = integrate_finite(
-                    lambda owner, rho: prof.abs_value(z_live[owner], rho) ** p * rho ** (d - 2),
-                    [0.0] * live.size,
-                    cap[live],
-                    q,
-                    breaks,
-                )
-                out = np.zeros_like(z1)
-                for i, est in zip(live, ests):
-                    inner.add(est.status)
-                    out[i] = est.value
-                return out
-
-            est = integrate_finite(outer, lo, hi, q, breakpoints=prof.breakpoints_z1)
-            return fold_status(est, inner).scaled(area)
-
-        if math.isfinite(prof.z1_hi):
-            raw = shell_ax(prof.z1_lo, prof.z1_hi)
-        else:
-            ladder = [10.0**k for k in range(2, 10)]
-            raw = verdict_estimate(
-                growth_diagnosis(shell_sum(shell_ax, -math.inf), ladder, rel_tol=1e-6)
+        def outer(owner: np.ndarray, z1: np.ndarray) -> np.ndarray:
+            chords = np.stack([c(z1) for c in prof.rho_caps])
+            cap = chords.max(axis=0)
+            live = np.flatnonzero(cap > 0)
+            z_live = z1[live]
+            # |V| jumps in rho at every term's chord below the cap
+            breaks = [] if len(chords) == 1 else [
+                [c for c in chords[:, i] if 0.0 < c < cap[i]] for i in live
+            ]
+            ests = integrate_finite(
+                lambda o, rho: prof.abs_value(z_live[o], rho) ** p * rho ** (d - 2),
+                [0.0] * live.size,
+                cap[live],
+                q,
+                breaks,
             )
+            out = np.zeros_like(z1)
+            for i, est in zip(live, ests):
+                inner[owner[i]].add(est.status)
+                out[i] = est.value
+            return out
 
+        ests = integrate_finite(outer, lo, ladder, q, [prof.breakpoints_z1] * len(ladder))
+        shells = [fold_status(est, statuses).scaled(area) for est, statuses in zip(ests, inner)]
+
+    if len(shells) == 1:
+        raw = shells[0]
+    else:
+        raw = verdict_estimate(growth_diagnosis(shell_sum(shells, ladder), ladder, rel_tol=1e-6))
     if not math.isfinite(raw.value):
         return Estimate(math.inf, math.inf, Status.DIVERGED)
     val = raw.value ** (2.0 / d)

@@ -16,8 +16,8 @@ the points that are neither in the memo nor requested earlier in the same
 round, so each distinct point is computed once.  ``evaluations`` still
 counts every probe requested, repeats included, and the candidates are
 folded in start order, so the result is the one the runs give one after
-another.  The objective always takes a batch: ``functionals.k_norm``
-passes its lockstep transforms, the other norms their probes in order.
+another.  The objective always takes a batch: ``functionals.k_norm``,
+``newton_norm`` and ``s_norm`` pass their lockstep transforms.
 """
 
 from __future__ import annotations

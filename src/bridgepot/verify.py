@@ -28,6 +28,8 @@ from .feynman_kac import McConfig, _estimates
 from .functionals import (
     BridgeSpec,
     _n_functionals,
+    _newton_potentials,
+    _probe_args,
     _s_functionals,
     build_compact_counterexample,
     j_transform,
@@ -393,12 +395,10 @@ def _suite_counterexample(cfg: dict) -> tuple[list[Finding], dict]:
 
     grid = np.exp(np.linspace(math.log(4.0), math.log(1e6), newton_points))
 
-    def newt(x1: float) -> float:
-        x = np.zeros(d)
-        x[0] = x1
-        return newton_potential(V, x, d).value
-
-    vals = [newt(x1) for x1 in grid]
+    xs = np.zeros((newton_points, d))
+    xs[:, 0] = grid
+    # every probe's ladder of shells in one lockstep call, the probes checked as newton_norm does
+    vals = [est.value for est in _newton_potentials(V, list(_probe_args(V, d, *xs)[1:]), d, None)]
     # stabilized tail: maximal suffix with consecutive relative changes < 5%
     tail_start = len(vals) - 1
     for i in range(len(vals) - 1, 0, -1):

@@ -1084,6 +1084,8 @@ def test_growth_diagnosis_examples():
     assert g.slope == pytest.approx(2.0, rel=1e-12) and g.r_squared == pytest.approx(1.0)
     with pytest.raises(ValueError):
         growth_diagnosis(lambda r: r, [1, 2, 3])
+    with pytest.raises(ValueError):
+        growth_diagnosis(lambda r: r, [1, 10, 10, 100])
 
 
 def test_k_truncation_log_divergence():

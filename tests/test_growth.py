@@ -45,23 +45,37 @@ def test_growth_diagnosis_calls_once_per_radius_in_order():
     assert calls == [(r,) for r in radii]
 
 
-def test_shell_sum_accumulates_and_rejects_non_increasing_radii():
-    shells = []
-
-    def shell(lo, hi):
-        shells.append((lo, hi))
-        return Estimate(hi - lo, 1e-3, Status.CONVERGED)
-
-    truncated = shell_sum(shell, 1.0)
-    assert truncated(2.0).value == 1.0
-    total = truncated(5.0)
-    assert total.value == 4.0 and total.error_bound == pytest.approx(2e-3)
-    assert shells == [(1.0, 2.0), (2.0, 5.0)]
-    for radius in (5.0, 3.0):
-        with pytest.raises(ValueError):
-            truncated(radius)
+def test_shell_sum_is_the_running_sum_of_its_shells():
+    shells = [
+        Estimate(-0.0, 1e-3, Status.CONVERGED),
+        Estimate(0.1, 2e-3, Status.MAX_SUBDIVISIONS_REACHED),
+        Estimate(0.2, 3e-3, Status.CONVERGED),
+        Estimate(0.3, 7e-3, Status.CONVERGED),
+    ]
+    truncated = shell_sum(shells, [2.0, 5.0, 9.0, 20.0])
+    # the first rung is the first shell added to a converged zero: +0.0, not -0.0
+    first = truncated(2.0)
+    assert first == Estimate(0.0, 1e-3, Status.CONVERGED)
+    assert math.copysign(1.0, first.value) == 1.0
+    # left to right: (0.1 + 0.2) + 0.3 is not 0.1 + (0.2 + 0.3)
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    third = Estimate(0.1 + 0.2, 1e-3 + 2e-3 + 3e-3, Status.MAX_SUBDIVISIONS_REACHED)
+    assert truncated(9.0) == third
+    last = truncated(20.0)
+    assert last.value == ((0.0 + 0.1) + 0.2) + 0.3
+    assert last.error_bound == ((1e-3 + 2e-3) + 3e-3) + 7e-3
+    assert last.status is Status.MAX_SUBDIVISIONS_REACHED
     with pytest.raises(ValueError):
-        shell_sum(shell, 1.0)(1.0)
+        shell_sum(shells, [2.0, 5.0, 9.0])
+
+
+def test_radial_newton_ladders_of_many_probes_equal_each_alone():
+    V = RadialPower(-3.0, 1.0, math.inf, -1.0)
+    xs = [np.array([x, 0.0, 0.0, 0.0]) for x in (0.0, 0.5, 2.0, 40.0)]
+    together = functionals._newton_potentials(V, xs, D, None)
+    alone = [functionals._newton_potentials(V, [x], D, None)[0] for x in xs]
+    assert [repr(est) for est in together] == [repr(est) for est in alone]
+    assert all(est.converged for est in together)
 
 
 @pytest.mark.parametrize("x1", [4.0, 50.0, 1e3, 3e5])
@@ -121,6 +135,11 @@ def test_kappa_ladder_verdicts_and_values(monkeypatch):
         _assert_ladder_matches(
             diag, lambda R: directional_shell_integral(D, beta, r_max=R).value
         )
+        # each rung is exactly the running sum of the shells up to it
+        total = Estimate(0.0, 0.0, Status.CONVERGED)
+        for lo, hi, value in zip((1.0, *diag.radii), diag.radii, diag.values):
+            total = total + directional_shell_integral(D, beta, r_max=hi, r_min=lo)
+            assert value == total.value
 
 
 @pytest.mark.parametrize("stalled", [False, True])

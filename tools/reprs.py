@@ -8,9 +8,12 @@ and compare two such records bit for bit.
 file), every workload of ``bench/workloads.py`` at seeds 0, 1 and 2, makes
 its untimed ``prepare`` calls and then runs every operation once, in order,
 and keeps the ``repr`` of each program result ``prepare`` puts in ``ref``
-and of each operation's result; then it runs the ten ``bridgepot verify``
-suites at their defaults and at ``--seed 0``, one process each, and keeps
-each report's standard output and exit code.
+and of each operation's result; then it keeps the ``repr`` of the growth
+ladders that no workload or suite reaches (the unbounded radial Newton
+potential and L^{d/2} norm at d = 4, and kappa's shell ladder at d = 5);
+then it runs the ten ``bridgepot verify`` suites at their defaults
+and at ``--seed 0``, one process each, and keeps each report's standard
+output and exit code.
 ``diff`` prints every entry that differs between two records, or is in
 only one, and exits 1 if there is any.  A change meant to move no number
 writes one record per checkout, parent and change, and diffs them.
@@ -22,11 +25,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+PARTS = ("workloads", "ladders", "verify")
 VERIFY_ARGS = ([], ["--seed", "0"])
 SEEDS = (0, 1, 2)
 CLI = "import sys; from bridgepot.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -54,6 +59,26 @@ def _workload_reprs(root: Path) -> dict[str, str]:
     return out
 
 
+def _ladder_reprs(root: Path) -> dict[str, str]:
+    sys.path[:0] = [str(root / "src")]
+    from bridgepot.functionals import newton_potential
+    from bridgepot.kernels import kappa
+    from bridgepot.potentials import RadialPower, lp_halfd_norm
+
+    out = {}
+    tail = RadialPower(-3.0, 1.0, math.inf, -1.0)
+    for x1 in (0.0, 0.5, 2.0, 40.0):
+        out[f"newton_potential/d4/x1={x1}"] = repr(newton_potential(tail, [x1, 0.0, 0.0, 0.0], 4))
+    # convergent at d = 4 for the power -3, divergent for -1
+    for power in (-3.0, -1.0):
+        V = RadialPower(power, 1.0, math.inf, -1.0)
+        out[f"lp_halfd_norm/d4/power={power}"] = repr(lp_halfd_norm(V, 4))
+    # convergent above beta = (d + 1) / 2 = 3
+    for beta in (2.8, 3.2):
+        out[f"kappa/d5/beta={beta}"] = repr(kappa(5, exponent_override=beta))
+    return out
+
+
 def _verify_reports(root: Path) -> dict[str, dict]:
     sys.path[:0] = [str(root / "src")]
     from bridgepot.verify import SUITE_IDS
@@ -71,15 +96,19 @@ def _verify_reports(root: Path) -> dict[str, dict]:
 
 
 def write(path: Path, root: Path) -> None:
-    record = {"workloads": _workload_reprs(root), "verify": _verify_reports(root)}
+    record = {
+        "workloads": _workload_reprs(root),
+        "ladders": _ladder_reprs(root),
+        "verify": _verify_reports(root),
+    }
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"{path}: {len(record['workloads'])} workload reprs, {len(record['verify'])} verify reports")
+    print(", ".join(f"{len(record[part])} {part}" for part in PARTS))
 
 
 def diff(a: Path, b: Path) -> int:
     left, right = json.loads(a.read_text()), json.loads(b.read_text())
     differ = 0
-    for part in ("workloads", "verify"):
+    for part in PARTS:
         for key in sorted(set(left[part]) | set(right[part])):
             if left[part].get(key) != right[part].get(key):
                 differ += 1
