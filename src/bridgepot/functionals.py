@@ -3,10 +3,13 @@
 The transforms all integrate |V| against a kernel and are evaluated with
 symmetry-aware dimension reduction:
 
-  * radially symmetric V, any probe pair (x, y): spherical coordinates
+  * radially symmetric V, probe pairs with y != 0: spherical coordinates
     about the kernel axis reduce the d-dimensional integral to an adaptive
     2D (s, alpha) cubature whose innermost azimuthal factor is closed-form
     (indicator cells) or a short Gauss-Legendre rule (power cells);
+  * radially symmetric V at y = 0, where k0 is the Riesz kernel
+    |z - x|^{2-d}: the Newton potential's 1D integral over r of the
+    kernel's spherical mean max(r, |x|)^{2-d}, without C_d;
   * axially symmetric V with probes on the symmetry axis: cylindrical
     coordinates (z1, rho) with the (d-2)-sphere surface factor;
   * the |z - x|^{2-d} singularity sits at s = 0 in the polar variables,
@@ -14,10 +17,9 @@ symmetry-aware dimension reduction:
 
 Every transform checks its probes and V's pinned dimension in one place
 (``_probe_args``) and integrates a sign-uniform Sum term by term.  The
-radial routes take |V| as power cells from ``RadialProfile.kernel_cells``
-(which rejects overlapping cells of both signs) and share one integral over
-the polar radius s (``_s_integral``); pointwise |V| comes from the
-potential's own values (``RadialProfile.abs_value``).
+(s, alpha) route takes |V| as power cells from ``RadialProfile.kernel_cells``
+(which rejects overlapping cells of both signs); pointwise |V| comes from
+the potential's own values (``RadialProfile.abs_value``).
 
 The bridge functionals integrate Gaussian averages of |V| in time, each
 time integral a row of one owner-indexed lockstep call
@@ -26,9 +28,8 @@ bridge norm's search passes each batch of probes as the rows of one call.
 For d = 3 the radial Gaussian mean of a smooth profile integrates |V|
 against the elementary density of |Z|, all probes in one lockstep call.
 For piecewise-constant radial profiles it is a sum of ball overlaps, one
-per distinct cell edge, which at d = 3 are elementary and at other d are
-the noncentral chi-squared CDF, conditioned exactly on the transverse
-chi-squared law at small variance.
+per distinct cell edge, in every dimension the noncentral chi-squared CDF,
+conditioned exactly on the transverse chi-squared law at small variance.
 
 Norms are probed suprema (``search.sup_search``), reported as certified
 lower bounds; divergence of a norm is only ever asserted through a growth
@@ -43,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -257,63 +258,44 @@ def _power_cell_sums(A, B, psi_a, width, lo, hi, expo, m) -> np.ndarray:
     return sums
 
 
-def _radial_isotropic_transform(
-    V: Potential,
-    nx: float,
-    d: int,
-    q: QuadratureSpec,
-) -> Estimate:
-    """integral of |V|(z) |z - x|^{2-d} dz for radial V: K at y = 0.
+def _radial_riesz(
+    V: Potential, xs: list[np.ndarray], d: int, q: QuadratureSpec, scale: float
+) -> list[Estimate]:
+    """scale * int |V(z)| |z - x|^{2-d} dz / |S^{d-1}| for radial V, at each probe xs[i].
 
-    The angular integral is the exact shell-cap mass of each radial cell,
-    so only a 1D adaptive integral over the polar radius s remains.  This
-    is the high-accuracy route for k0(., 0)-type kernels (y = 0).
+    The spherical mean of the Riesz kernel over |z| = r is max(r, |x|)^{2-d},
+    so one integral over r remains.  A bounded support integrates every
+    probe in one lockstep call; an unbounded one integrates every probe's
+    growth ladder of shells in one lockstep call, and each probe's verdict
+    reads its own slice of them.
     """
     prof = radial_profile(V)
-    cells = prof.kernel_cells()
-    if not cells:
-        return _ZERO
-    m = d - 2
-    area = sphere_area(d - 2)
+    R = np.array([float(np.linalg.norm(xv)) for xv in xs])
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        mass = _azimuthal_mass(s * s + nx * nx, 2.0 * s * nx, cells, m)
-        # the kernel s^(2-d) times the Jacobian s^(d-1) is s, kept in its
-        # exp(log s) form, whose bits the d = 3 results carry
-        with np.errstate(divide="ignore"):
-            log_s = np.log(s)
-        out = np.zeros_like(s)
-        good = mass > 0.0
-        out[good] = mass[good] * np.exp(np.maximum(log_s[good], -745.0))
-        return out
+    def integrand(i: np.ndarray, r: np.ndarray) -> np.ndarray:
+        shell = np.where(r >= R[i], r, np.maximum(R[i], 1e-300))
+        return prof.abs_value(r) * r ** (d - 1) * shell ** (2.0 - d)
 
-    return _s_integral(integrand, nx, cell_edges(cells), prof.support, q).scaled(area)
-
-
-def _s_integral(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    nx: float,
-    radii: Sequence[float],
-    support: float,
-    q: QuadratureSpec,
-) -> Estimate:
-    """int of integrand over the polar radius s = |z - x|, |x| = nx.
-
-    The range is [0, nx + support], or the half-line for an unbounded
-    support; s = |nx - r| and nx + r, where the sphere about x meets a cell
-    edge r, are breakpoints.
-    """
-    sbreaks = sorted({b for r in radii for b in (abs(nx - r), nx + r) if b > 0.0})
-    if math.isfinite(support):
-        s_max = nx + support
-        if s_max <= 0.0:
-            return _ZERO
-        return integrate_finite(
-            integrand, 0.0, s_max, q, breakpoints=[b for b in sbreaks if b < s_max]
-        )
-    center = max(sbreaks[0] if sbreaks else 1.0, 1e-6)
-    upper = max(sbreaks[-1] if sbreaks else 1.0, nx + 1.0) * 10.0
-    return integrate_half_line(integrand, q, center=center, must_cover=(center * 1e-3, upper))
+    breaks = [sorted({radius, *prof.breakpoints}) for radius in R.tolist()]
+    if math.isfinite(prof.support):
+        ests = integrate_finite(integrand, [0.0] * len(xs), [prof.support] * len(xs), q, breaks)
+        return [est.scaled(scale) for est in ests]
+    bases = [max([b for b in bs if math.isfinite(b) and b > 0], default=1.0) for bs in breaks]
+    ladders = [[base * 10.0**k for k in range(1, 9)] for base in bases]
+    probe = np.repeat(np.arange(len(xs)), 8)
+    ests = integrate_finite(
+        lambda owner, r: integrand(probe[owner], r),
+        [lo for ladder in ladders for lo in [0.0, *ladder[:-1]]],
+        [hi for ladder in ladders for hi in ladder],
+        q,
+        [breaks[i] for i in probe],
+    )
+    out = []
+    for i, ladder in enumerate(ladders):
+        shells = ests[8 * i : 8 * i + 8]
+        diag = growth_diagnosis(shell_sum(shells, ladder), ladder, rel_tol=1e-6)
+        out.append(verdict_estimate(diag).scaled(scale))
+    return out
 
 
 def _k_like_radial_transform(
@@ -406,7 +388,19 @@ def _k_like_radial_transform(
         out[live] = np.array([est.value for est in ests]) * weight
         return out
 
-    return fold_status(_s_integral(s_integrand, nx, radii, prof.support, q), inner).scaled(area)
+    # s runs over [0, nx + support], or the half-line for an unbounded
+    # support; s = |nx - r| and nx + r, where the sphere about x meets a
+    # cell edge r, are breakpoints
+    sbreaks = sorted({b for r in radii for b in (abs(nx - r), nx + r) if b > 0.0})
+    if math.isfinite(prof.support):
+        s_max = nx + prof.support
+        breaks = [b for b in sbreaks if b < s_max]
+        est = integrate_finite(s_integrand, 0.0, s_max, q, breakpoints=breaks)
+    else:
+        center = max(sbreaks[0] if sbreaks else 1.0, 1e-6)
+        upper = max(sbreaks[-1] if sbreaks else 1.0, nx + 1.0) * 10.0
+        est = integrate_half_line(s_integrand, q, center=center, must_cover=(center * 1e-3, upper))
+    return fold_status(est, inner).scaled(area)
 
 
 # ===========================================================================
@@ -529,8 +523,10 @@ def k_transform(
 ) -> Estimate:
     """K(V, x, y) = int |V(z)| k0(z - x, y) dz with symmetry-aware reduction.
 
-    A given spec q is used on every route.  Without one, the radial route
-    at y = 0 (a 1D integral) uses DEFAULT_SPEC_1D and the others
+    For radial V at y = 0 this is newton_potential(V, x) / C_d, computed by
+    the same route, so an unbounded support gets its growth verdict.  A
+    given spec q is used on every route.  Without one, the radial route at
+    y = 0 (a 1D integral) uses DEFAULT_SPEC_1D and the others
     DEFAULT_SPEC_2D.
     """
     d, xv, yv = _probe_args(V, d, x, y)
@@ -542,8 +538,9 @@ def _k_transforms(
 ) -> list[Estimate]:
     """k_transform at each probe pair (xs[i], ys[i]), already checked.
 
-    The axial route integrates every probe in one lockstep call; the radial
-    routes take the probes one by one.
+    The axial route integrates every probe in one lockstep call, as does
+    the radial route at y = 0 (``_radial_riesz``); the radial route at
+    y != 0 takes its probes one by one.
     """
     parts = _split_same_sign_sum(V)
     if len(parts) > 1:
@@ -551,15 +548,17 @@ def _k_transforms(
         return [sum(row, _ZERO) for row in zip(*columns)]
 
     if V.symmetry is Symmetry.RADIAL:
-        out = []
-        for xv, yv in zip(xs, ys):
-            if float(np.linalg.norm(yv)) == 0.0:
-                # the kernel degenerates to |z - x|^{2-d}: exact angular reduction
-                nx = float(np.linalg.norm(xv))
-                out.append(_radial_isotropic_transform(V, nx, d, q or DEFAULT_SPEC_1D))
-            else:
-                out.append(_k_like_radial_transform(V, xv, yv, d, q or DEFAULT_SPEC_2D))
-        return out
+        # at y = 0 the kernel is the Riesz kernel |z - x|^{2-d}: K is the
+        # Newton potential's integral without C_d, all such probes in one call
+        at0 = [i for i, yv in enumerate(ys) if float(np.linalg.norm(yv)) == 0.0]
+        riesz = {}
+        if at0:
+            x0, spec = [xs[i] for i in at0], q or DEFAULT_SPEC_1D
+            riesz = dict(zip(at0, _radial_riesz(V, x0, d, spec, sphere_area(d - 1))))
+        return [
+            riesz[i] if i in riesz else _k_like_radial_transform(V, x, y, d, q or DEFAULT_SPEC_2D)
+            for i, (x, y) in enumerate(zip(xs, ys))
+        ]
 
     if V.symmetry is Symmetry.AXIAL and all(_on_axis(v) for v in (*xs, *ys)):
         x1 = [float(xv[0]) for xv in xs]
@@ -603,39 +602,7 @@ def _newton_potentials(
         return [sum(row, _ZERO) for row in zip(*columns)]
 
     if V.symmetry is Symmetry.RADIAL:
-        q = q or DEFAULT_SPEC_1D
-        prof = radial_profile(V)
-        R = np.array([float(np.linalg.norm(xv)) for xv in xs])
-        area = sphere_area(d - 1)
-
-        def integrand(i: np.ndarray, r: np.ndarray) -> np.ndarray:
-            shell = np.where(r >= R[i], r, np.maximum(R[i], 1e-300))
-            return prof.abs_value(r) * r ** (d - 1) * shell ** (2.0 - d)
-
-        breaks = [sorted({radius, *prof.breakpoints}) for radius in R.tolist()]
-        if math.isfinite(prof.support):
-            ests = integrate_finite(integrand, [0.0] * len(xs), [prof.support] * len(xs), q, breaks)
-            return [est.scaled(cd * area) for est in ests]
-        # bounded verdicts come from growth ladders over truncations; every
-        # probe's 8 shells are rows of one lockstep call
-        ladders = []
-        for probe_breaks in breaks:
-            base = max([b for b in probe_breaks if math.isfinite(b) and b > 0], default=1.0)
-            ladders.append([base * 10.0**k for k in range(1, 9)])
-        probe = np.repeat(np.arange(len(xs)), 8)
-        ests = integrate_finite(
-            lambda owner, r: integrand(probe[owner], r),
-            [lo for ladder in ladders for lo in [0.0, *ladder[:-1]]],
-            [hi for ladder in ladders for hi in ladder],
-            q,
-            [breaks[i] for i in probe],
-        )
-        out = []
-        for i, ladder in enumerate(ladders):
-            shells = ests[8 * i : 8 * i + 8]
-            diag = growth_diagnosis(shell_sum(shells, ladder), ladder, rel_tol=1e-6)
-            out.append(verdict_estimate(diag).scaled(cd * area))
-        return out
+        return _radial_riesz(V, xs, d, q or DEFAULT_SPEC_1D, cd * sphere_area(d - 1))
 
     if V.symmetry is Symmetry.AXIAL and all(_on_axis(xv) for xv in xs):
         q = q or DEFAULT_SPEC_2D
@@ -728,8 +695,9 @@ def _ball_overlap(R, mu, sigma, d: int) -> np.ndarray:
     gets alone, whatever it is batched with: a lockstep integrand call packs
     the nodes of many integrals, and each integral must get its own bits.
 
-    d = 3 has the elementary closed form.  Other dimensions take one of two
-    exact forms (Johnson, Kotz & Balakrishnan, vol. 2, ch. 29):
+    Every dimension takes one of two exact forms (Johnson, Kotz &
+    Balakrishnan, vol. 2, ch. 29); d = 3 has none of its own, since its
+    elementary form cancels catastrophically once sigma >> R:
 
       * sigma > R/10: the noncentral chi-squared CDF
         P(chi'^2_d(mu^2/sigma^2) <= R^2/sigma^2), ``scipy.special.chndtr``
@@ -748,8 +716,10 @@ def _ball_overlap(R, mu, sigma, d: int) -> np.ndarray:
         batch.  The rows go in blocks of ``_ROW_BLOCK``, so the (rows x 16)
         temporaries are bounded by the block, not by the size of the call.
 
-    Both are within 1e-15 absolute of a 30-digit mpmath oracle at d = 4, 5,
-    6 and 8.
+    Accuracy is relative, on seeded samples over sigma/R in [1e-3, 1e4]
+    against mpmath: at d = 3 within 3e-14 above 1e-50 and 1e-11 down to
+    1e-210; at d = 4, 5 and 6 within 2e-15 above 1e-280.  At d = 8 chndtr
+    loses digits deep in the tail (1e-9 at 1e-31, sigma = 3300 R).
     """
     R, mu, sigma = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (R, mu, sigma)))
     shape = R.shape
@@ -761,22 +731,6 @@ def _ball_overlap(R, mu, sigma, d: int) -> np.ndarray:
         if live.any():
             out[live] = _ball_overlap(R[live], mu[live], sigma[live], d)
         return out
-    if d == 3:
-        a = (R - mu) / sigma
-        b = (R + mu) / sigma
-        base = norm_cdf(a) - norm_cdf(-b)
-        scale = np.exp(-0.5 * a * a) - np.exp(-0.5 * b * b)
-        small = mu < 1e-10 * sigma
-        safe_mu = np.where(small, 1.0, mu)
-        corr = sigma / (safe_mu * math.sqrt(2.0 * math.pi)) * scale
-        if not small.any():
-            return np.clip(base - corr, 0.0, 1.0)
-        # mu -> 0 limit: chi distribution with 3 dof
-        x = R / sigma
-        limit = norm_cdf(x) - norm_cdf(-x) - 2.0 * x * np.exp(-0.5 * x * x) / math.sqrt(
-            2.0 * math.pi
-        )
-        return np.where(small, limit, np.clip(base - corr, 0.0, 1.0))
     wide = sigma > _CONDITION_BELOW * R
     out = np.empty(shape)
     out[wide] = noncentral_chi2_cdf(

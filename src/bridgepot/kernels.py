@@ -28,6 +28,7 @@ Estimate; closed-form operations return plain floats.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -398,6 +399,22 @@ def _cone_profile(r: np.ndarray, c_exp: float, d: int) -> np.ndarray:
     return out
 
 
+def _shell_integrand(v: np.ndarray, d: int, pw: float, c_exp: float) -> np.ndarray:
+    """``directional_shell_integral``'s integrand in v = log |w|, pw = d - 1 - beta,
+    less the (d-2)-sphere area: a log-space product of the radial power and
+    the cone profile.  Values beyond v ~ 690 are out of double range and
+    only occur where the integrand has decayed to zero anyway."""
+    out = np.zeros_like(v)
+    ok = v < 690.0
+    if np.any(ok):
+        vv = v[ok]
+        with np.errstate(divide="ignore"):
+            logp = np.log(_cone_profile(np.exp(vv), c_exp, d))
+        logf = (pw + 1.0) * vv + logp
+        out[ok] = np.where(logf > -745.0, np.exp(np.maximum(logf, -745.0)), 0.0)
+    return out
+
+
 def directional_shell_integral(
     d,
     beta: float,
@@ -415,21 +432,7 @@ def directional_shell_integral(
     d = as_dimension(d)
     pw = d - 1.0 - beta
     area = sphere_area(d - 2)
-
-    def integrand(v: np.ndarray) -> np.ndarray:
-        # log-space product of the radial power and the cone profile; values
-        # beyond v ~ 690 are out of double range and only occur in regimes
-        # where the integrand has decayed to zero anyway
-        out = np.zeros_like(v)
-        ok = v < 690.0
-        if np.any(ok):
-            vv = v[ok]
-            with np.errstate(divide="ignore"):
-                logp = np.log(_cone_profile(np.exp(vv), c_exp, d))
-            logf = (pw + 1.0) * vv + logp
-            out[ok] = np.where(logf > -745.0, np.exp(np.maximum(logf, -745.0)), 0.0)
-        return out
-
+    integrand = functools.partial(_shell_integrand, d=d, pw=pw, c_exp=c_exp)
     if math.isinf(r_max):
         if r_min != 1.0:
             raise ValueError("an unbounded shell integral starts at radius 1")
@@ -477,10 +480,15 @@ def kappa(
         err = expo * val / inner.value * inner.error_bound
         return Estimate(val, err, inner.status)
 
-    beta = float(exponent_override)
-    shells = [
-        directional_shell_integral(d, beta, r_max=hi, q=q, r_min=lo)
-        for lo, hi in zip((1.0, *_KAPPA_LADDER), _KAPPA_LADDER)
-    ]
+    # the ladder's shells of directional_shell_integral, as rows of one lockstep call
+    pw = d - 1.0 - float(exponent_override)
+    ests = integrate_finite(
+        lambda owner, v: _shell_integrand(v, d, pw, 1.0),
+        [math.log(r) for r in (1.0, *_KAPPA_LADDER[:-1])],
+        [math.log(r) for r in _KAPPA_LADDER],
+        q,
+        [[1.0, 3.0]] * len(_KAPPA_LADDER),
+    )
+    shells = [est.scaled(sphere_area(d - 2)) for est in ests]
     diag = growth_diagnosis(shell_sum(shells, _KAPPA_LADDER), _KAPPA_LADDER, rel_tol=0.02)
     return verdict_estimate(diag)

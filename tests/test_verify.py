@@ -56,13 +56,14 @@ def test_suite_determinism():
 
 def test_gen_neg_findings_pinned():
     # both ratios come from one shared draw of the paths; the findings are
-    # those of two separate Monte Carlo calls
+    # those of two separate Monte Carlo calls.  eta is just below its t -> inf
+    # value 0.1, which the long bridges of its sup search approach
     report = run_suite("gen_neg", {"paths": 2000, "steps": 64, "seed": 99})
     assert [(f.name, repr(f.value), f.bound, f.passed) for f in report.findings] == [
         ("gen_neg.ratio_negative_V", "0.6189957271517431", ">= exp(-S) = 0.610835", True),
         ("gen_neg.ratio_upper_1", "0.6189957271517431", "<= 1", True),
-        ("gen_neg.eta", "0.1025163052502577", "< 1", True),
-        ("gen_neg.ratio_positive_V", "1.0519345759547991", "<= 1/(1-eta) = 1.114226", True),
+        ("gen_neg.eta", "0.09999999499713516", "< 1", True),
+        ("gen_neg.ratio_positive_V", "1.0519345759547991", "<= 1/(1-eta) = 1.111111", True),
     ]
 
 

@@ -10,7 +10,8 @@ its untimed ``prepare`` calls and then runs every operation once, in order,
 and keeps the ``repr`` of each program result ``prepare`` puts in ``ref``
 and of each operation's result; then it keeps the ``repr`` of the growth
 ladders that no workload or suite reaches (the unbounded radial Newton
-potential and L^{d/2} norm at d = 4, and kappa's shell ladder at d = 5);
+potential and L^{d/2} norm at d = 4, K at y = 0 on an unbounded radial
+support at d = 3 and 4, and kappa's shell ladder at d = 5);
 then it runs the ten ``bridgepot verify`` suites at their defaults
 and at ``--seed 0``, one process each, and keeps each report's standard
 output and exit code.
@@ -61,14 +62,22 @@ def _workload_reprs(root: Path) -> dict[str, str]:
 
 def _ladder_reprs(root: Path) -> dict[str, str]:
     sys.path[:0] = [str(root / "src")]
-    from bridgepot.functionals import newton_potential
+    from bridgepot.functionals import k_transform, newton_potential
     from bridgepot.kernels import kappa
-    from bridgepot.potentials import RadialPower, lp_halfd_norm
+    from bridgepot.potentials import Constant, RadialPower, lp_halfd_norm
 
     out = {}
     tail = RadialPower(-3.0, 1.0, math.inf, -1.0)
     for x1 in (0.0, 0.5, 2.0, 40.0):
         out[f"newton_potential/d4/x1={x1}"] = repr(newton_potential(tail, [x1, 0.0, 0.0, 0.0], 4))
+    # K at y = 0 on an unbounded support: convergent for the tail, divergent
+    # for a constant
+    for name, V, d in (("tail", tail, 3), ("tail", tail, 4), ("constant", Constant(1.0), 3)):
+        key = f"k_transform/y0/{name}/d{d}/x2=0.7"
+        try:
+            out[key] = repr(k_transform(V, [0.0, 0.7] + [0.0] * (d - 2), [0.0] * d, d))
+        except Exception as exc:  # a failing call is a number too
+            out[key] = f"raised {exc!r}"
     # convergent at d = 4 for the power -3, divergent for -1
     for power in (-3.0, -1.0):
         V = RadialPower(power, 1.0, math.inf, -1.0)
