@@ -576,8 +576,8 @@ def _d3_overlap_mp(R, mu, sigma):
 
 
 def test_ball_overlap_d3_relative_to_mpmath():
-    # sigma/R from 1e-3 to 1e4; the first points gave 0, 8.3e-2 and 2.5e-4
-    # relative error when d = 3 had its own elementary form
+    # sigma/R from 1e-3 to 1e4; at the first points the elementary d = 3 form
+    # in double precision cancels to relative errors of 1, 8.3e-2 and 2.5e-4
     rng = np.random.default_rng(3)
     points = [(1.0, mu, 1e3) for mu in (1e-5, 1e-3, 0.5)]
     for i in range(60):
