@@ -173,6 +173,17 @@ _GL24_AT = 0.5 * (_GL24[0] + 1.0)  # the nodes mapped to [0, 1]
 _ROW_BLOCK = 480
 
 
+@functools.cache
+def _whole_window(m: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """cos psi, sin^m psi (None for m = 0) and the weights of the 24-point
+    rule on the whole psi window [0, pi], formed with the operations that
+    ``_power_cell_sums`` applies to a window with psi_a = 0 and width = pi,
+    so a row that reads them gets the bits it would compute."""
+    psi = _GL24_AT * math.pi
+    sin_m = None if m == 0 else np.sin(psi) if m == 1 else np.sin(psi) ** m
+    return np.cos(psi), sin_m, (0.5 * math.pi) * _GL24[1]
+
+
 def _azimuthal_mass(
     A: np.ndarray,
     B: np.ndarray,
@@ -188,30 +199,49 @@ def _azimuthal_mass(
     window is not empty and in blocks of at most ``_ROW_BLOCK`` rows, so
     the integrand's wide temporaries are bounded by the block, not by the
     number of nodes in the call.  What no cell changes (the degenerate-axis
-    mask, the divisor, A + B + 1) is computed once for all cells.
+    mask, the divisor, A + B + 1) is computed once for all cells.  Rows
+    whose window is all of [0, pi] share one table of the rule's nodes
+    (``_whole_window``).  A call with no degenerate row (B <= 1e-14
+    max(A, 1)) skips the degenerate-axis selection: its divisor is B > 0
+    and every A is finite, so no division can fail.  Each row's value is
+    computed from its own A and B by the same operations in the same order
+    whichever branch its batch takes, so it does not depend on the batch.
     """
     small = B <= 1e-14 * np.maximum(A, 1.0)
-    divisor = np.where(small, 1.0, B)
+    degenerate = bool(small.any())
+    divisor = np.where(small, 1.0, B) if degenerate else B
     top = A + B + 1.0
     mass = np.zeros_like(A)
     for lo, hi, amp, expo in cells:
         lo2, hi2 = lo * lo, hi * hi if math.isfinite(hi) else math.inf
-        # degenerate axis: R is constant sqrt(A); the cell is all or nothing
-        inside = (A >= lo2) & (A <= hi2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c_hi = np.where(small, np.where(inside, 1.0, -2.0), (np.minimum(hi2, top) - A) / divisor)
-            c_lo = np.where(small, np.where(inside, -1.0, 2.0), (lo2 - A) / divisor)
-        # cos psi in [c_lo, c_hi]  <=>  psi in [arccos(c_hi), arccos(c_lo)]
-        psi_a = np.arccos(np.clip(c_hi, -1.0, 1.0))
-        psi_b = np.arccos(np.clip(c_lo, -1.0, 1.0))
+        if degenerate:
+            # degenerate axis: R is constant sqrt(A); the cell is all or nothing
+            inside = (A >= lo2) & (A <= hi2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                c_hi = np.where(small, np.where(inside, 1.0, -2.0), (np.minimum(hi2, top) - A) / divisor)
+                c_lo = np.where(small, np.where(inside, -1.0, 2.0), (lo2 - A) / divisor)
+        else:
+            c_hi = (np.minimum(hi2, top) - A) / divisor
+            c_lo = (lo2 - A) / divisor
+        # cos psi in [c_lo, c_hi]  <=>  psi in [arccos(c_hi), arccos(c_lo)],
+        # each clipped to [-1, 1] in place
+        for c in (c_hi, c_lo):
+            np.minimum(np.maximum(c, -1.0, out=c), 1.0, out=c)
+        psi_a = np.arccos(c_hi, out=c_hi)
+        psi_b = np.arccos(c_lo, out=c_lo)
         if expo == 0.0 and m <= 4:
             anti = sin_power_antideriv(m, psi_b) - sin_power_antideriv(m, psi_a)
             mass += abs(amp) * np.maximum(anti, 0.0)
             continue
         width = np.maximum(psi_b - psi_a, 0.0)
-        rows = np.flatnonzero(width != 0.0)  # an empty window adds nothing
-        sums = _power_cell_sums(A[rows], B[rows], psi_a[rows], width[rows], lo, hi, expo, m)
-        mass[rows] += abs(amp) * sums
+        whole = (width == math.pi) & (psi_a == 0.0)
+        rows = np.flatnonzero(whole)
+        if rows.size:
+            mass[rows] += abs(amp) * _power_cell_sums(A[rows], B[rows], None, None, lo, hi, expo, m)
+        rows = np.flatnonzero((width != 0.0) & ~whole)  # an empty window adds nothing
+        if rows.size:
+            sums = _power_cell_sums(A[rows], B[rows], psi_a[rows], width[rows], lo, hi, expo, m)
+            mass[rows] += abs(amp) * sums
     return mass
 
 
@@ -219,41 +249,62 @@ def _power_cell_sums(A, B, psi_a, width, lo, hi, expo, m) -> np.ndarray:
     """Per row, the 24-point Gauss sum of R^expo sin^m psi over the cell's
     psi window [psi_a, psi_a + width], nodes with R outside [lo, hi] left out.
 
-    The rows go in blocks of ``_ROW_BLOCK`` through two reused node buffers.
+    psi_a = width = None is the whole window [0, pi]: its nodes' cos psi,
+    sin^m psi and weights come from ``_whole_window(m)``, not from 24 cos
+    and 24 sin calls per row.  A cell with lo > 0 has R > 0 wherever it is
+    nonzero, so its R = 0 mask is its own complement.  The rows go in blocks
+    of ``_ROW_BLOCK`` through two reused node buffers.
     """
     n = A.size
     sums = np.empty(n)
     k = min(n, _ROW_BLOCK)
     psi, R = np.empty((k, 24)), np.empty((k, 24))
     cell, flag = np.empty((k, 24), dtype=bool), np.empty((k, 24), dtype=bool)
-    half_width = 0.5 * width
+    whole = psi_a is None
+    if whole:
+        cos_psi, sin_m, weights = _whole_window(m)
+    else:
+        half_width = 0.5 * width
     for start in range(0, n, _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
         j = min(n - start, _ROW_BLOCK)
         p, r, c, f = psi[:j], R[:j], cell[:j], flag[:j]
-        np.multiply(_GL24_AT, width[block, None], out=p)
-        p += psi_a[block, None]
-        np.cos(p, out=r)
-        r *= B[block, None]
+        if whole:
+            np.multiply(cos_psi, B[block, None], out=r)
+        else:
+            np.multiply(_GL24_AT, width[block, None], out=p)
+            p += psi_a[block, None]
+            np.cos(p, out=r)
+            r *= B[block, None]
         r += A[block, None]
         np.maximum(r, 0.0, out=r)
         np.sqrt(r, out=r)
         np.greater_equal(r, lo, out=c)
         c &= np.less_equal(r, hi, out=f)
         # R^expo on the cell, with R = 0 read as 1, and 0 off it
-        np.greater(r, 0.0, out=f)
-        f &= c
-        np.logical_not(f, out=f)
-        np.copyto(r, 1.0, where=f)
+        if lo > 0.0:
+            np.logical_not(c, out=c)
+            np.copyto(r, 1.0, where=c)
+        else:
+            np.greater(r, 0.0, out=f)
+            f &= c
+            np.logical_not(f, out=f)
+            np.copyto(r, 1.0, where=f)
+            np.logical_not(c, out=c)
         r **= expo
-        np.logical_not(c, out=c)
         np.copyto(r, 0.0, where=c)
-        if m:
-            np.sin(p, out=p)
-            p **= m
+        if whole:
+            if m:
+                r *= sin_m
+            r *= weights
+        else:
+            if m:
+                np.sin(p, out=p)
+                if m > 1:
+                    p **= m
+                r *= p
+            np.multiply(half_width[block, None], _GL24[1], out=p)
             r *= p
-        np.multiply(half_width[block, None], _GL24[1], out=p)
-        r *= p
         r.sum(axis=1, out=sums[block])
     return sums
 
@@ -316,6 +367,14 @@ def _k_like_radial_transform(
     integrals of one outer call advance together (``integrate_finite`` over
     a sequence of intervals), and the worst of their statuses reaches the
     result.
+
+    The terms of the alpha integrand that depend on s alone (s^2 + |x|^2,
+    2 s |x|, -s |y| / 2, (2 - d) log s and (d - 3) / 2 log1p(s |y|)) are
+    computed once per outer s node and gathered to the alpha nodes by
+    owner.  Each is the product or sum that the per-node expression formed
+    first, left to right, so every later operation sees the same operands
+    in the same order and no bit of the result depends on where a term is
+    computed.
     """
     prof = radial_profile(V)
     nx = float(np.linalg.norm(xv))
@@ -339,20 +398,15 @@ def _k_like_radial_transform(
         rel_tol=max(q.rel_tol * 0.1, 1e-13), abs_tol=0.0, max_subdivisions=200
     )
 
-    def alpha_integrand(s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    def alpha_integrand(terms: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        # terms: s_integrand's per-s rows, gathered to the alpha nodes
+        sq, lin, half, log_s, log1p_s = terms
         sin_alpha = np.sin(alpha)
         omc = 2.0 * np.sin(0.5 * alpha) ** 2
-        A = s * s + nx * nx + 2.0 * s * nx * np.cos(alpha) * ct
-        mass = _azimuthal_mass(A, 2.0 * s * nx * sin_alpha * st, cells, m)
-        logk = -0.5 * s * ny * omc + (2.0 - d) * np.log(s) + 0.5 * (d - 3.0) * np.log1p(s * ny)
-        out = np.zeros_like(alpha)
-        good = mass > 0.0
-        out[good] = (
-            mass[good]
-            * np.exp(np.maximum(logk[good], -745.0))
-            * sin_alpha[good] ** (d - 2)
-        )
-        return out
+        A = sq + lin * np.cos(alpha) * ct
+        mass = _azimuthal_mass(A, lin * sin_alpha * st, cells, m)
+        logk = half * omc + log_s + log1p_s
+        return np.where(mass > 0.0, mass * np.exp(np.maximum(logk, -745.0)) * sin_alpha ** (d - 2), 0.0)
 
     def alpha_kinks(s: float) -> list[float]:
         out = []
@@ -376,8 +430,17 @@ def _k_like_radial_transform(
         out = np.zeros_like(s_vec)
         live = np.flatnonzero(s_vec > 0.0)
         s_live = s_vec[live]
+        # the alpha integrand's terms that depend on s alone, one column per
+        # s node, each formed by the operations that formed it per alpha node
+        terms = np.stack((
+            s_live * s_live + nx * nx,
+            2.0 * s_live * nx,
+            -0.5 * s_live * ny,
+            (2.0 - d) * np.log(s_live),
+            0.5 * (d - 3.0) * np.log1p(s_live * ny),
+        ))
         ests = integrate_finite(
-            lambda owner, a: alpha_integrand(s_live[owner], a),
+            lambda owner, a: alpha_integrand(terms.take(owner, axis=1), a),
             [0.0] * live.size,
             [math.pi] * live.size,
             inner_spec,

@@ -278,6 +278,31 @@ def test_azimuthal_mass_matches_the_per_cell_kernel_bit_for_bit(rows, cells, m):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    rows=cell_mass_rows(),
+    cells=st.lists(radial_cells(), min_size=1, max_size=3),
+    m=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_azimuthal_mass_of_a_row_subset_is_that_subset_of_the_mass(rows, cells, m, seed):
+    # the lockstep contract: a row's mass does not depend on the rows that
+    # share its call, though a call with no degenerate row and the rows
+    # whose psi window is all of [0, pi] take their own branches
+    A, B = rows
+    full = functionals._azimuthal_mass(A, B, cells, m)
+    small = B <= 1e-14 * np.maximum(A, 1.0)
+    lo, hi = cells[0][:2]
+    whole = (A - B >= lo * lo) & (A + B <= hi * hi)  # the sphere inside the first cell
+    rng = np.random.default_rng(seed)
+    subsets = [np.flatnonzero(mask) for mask in (~small, small, whole, ~whole, ~whole & ~small)]
+    subsets.append(rng.permutation(A.size)[: rng.integers(1, A.size + 1)])
+    for sub in subsets:
+        if sub.size:
+            got = functionals._azimuthal_mass(A[sub], B[sub], cells, m)
+            assert np.array_equal(got.view(np.int64), full[sub].view(np.int64))
+
+
 _TRANSFORMS = {
     "k": lambda V, x, y, d: k_transform(V, x, y, d),
     "newton": lambda V, x, y, d: newton_potential(V, x, d),
@@ -1186,6 +1211,54 @@ def test_compact_counterexample_construction(monkeypatch):
         y[0] = rho
         kv = k_transform(compact, x0, y, 4)
         assert kv.value >= 2.0**n * (1 - 1e-3)
+
+
+@st.composite
+def compact_radial_trees(draw):
+    """Nonpositive radial potentials of compact support: balls and bounded
+    radial powers under positive scalings, dilations and sums."""
+    leaves = st.one_of(
+        st.builds(BallIndicator, st.none(), st.floats(0.2, 2.0), st.floats(-2.0, -0.1)),
+        st.builds(
+            lambda p, lo, w, amp: RadialPower(p, lo, lo + w, amp),
+            st.sampled_from([-1.0, -0.5, 0.5, 1.5]),
+            st.floats(0.1, 1.0),
+            st.floats(0.2, 1.5),
+            st.floats(-2.0, -0.1),
+        ),
+    )
+    return draw(
+        st.recursive(
+            leaves,
+            lambda kids: st.one_of(
+                st.builds(Dilate, st.floats(0.5, 2.0), kids),
+                st.builds(Scale, st.floats(0.5, 2.0), kids),
+                st.builds(lambda terms: Sum(tuple(terms)), st.lists(kids, min_size=2, max_size=2)),
+            ),
+            max_leaves=3,
+        )
+    )
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    V=compact_radial_trees(),
+    d=st.sampled_from([3, 4]),
+    x=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+    ny=st.floats(0.1, 1.5),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    log_s=st.floats(-1.0, 1.0),
+)
+def test_k_dilation_covariance_off_the_axis(V, d, x, ny, phi, log_s):
+    # K(dilate(V, s), x / sqrt(s), sqrt(s) y) = K(V, x, y): the change of
+    # variables z -> sqrt(s) z leaves the kernel's scale factors at 1
+    s = math.exp(log_s)
+    xv = np.array(x + [0.0] * (d - 2))
+    yv = np.array([ny * math.cos(phi), ny * math.sin(phi)] + [0.0] * (d - 2))
+    base = k_transform(V, xv, yv, d)
+    dilated = k_transform(dilate(V, s), xv / math.sqrt(s), math.sqrt(s) * yv, d)
+    slack = 2e-6 * abs(base.value) + 3.0 * (base.error_bound + dilated.error_bound)
+    assert abs(dilated.value - base.value) <= slack
 
 
 def test_dilation_covariance_transforms():

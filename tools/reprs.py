@@ -11,7 +11,10 @@ and keeps the ``repr`` of each program result ``prepare`` puts in ``ref``
 and of each operation's result; then it keeps the ``repr`` of the growth
 ladders that no workload or suite reaches (the unbounded radial Newton
 potential and L^{d/2} norm at d = 4, K at y = 0 on an unbounded radial
-support at d = 3 and 4, and kappa's shell ladder at d = 5);
+support at d = 3 and 4, and kappa's shell ladder at d = 5), and of the
+branches of the radial y != 0 kernel that no workload reaches (sin^m
+powers m = 2 and 3 at d = 5 and 6, x = 0, where every row is degenerate,
+and a power cell with lo = 0);
 then it runs the ten ``bridgepot verify`` suites at their defaults
 and at ``--seed 0``, one process each, and keeps each report's standard
 output and exit code.
@@ -32,7 +35,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-PARTS = ("workloads", "ladders", "verify")
+PARTS = ("workloads", "ladders", "branches", "verify")
 VERIFY_ARGS = ([], ["--seed", "0"])
 SEEDS = (0, 1, 2)
 CLI = "import sys; from bridgepot.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -88,6 +91,36 @@ def _ladder_reprs(root: Path) -> dict[str, str]:
     return out
 
 
+def _branch_reprs(root: Path) -> dict[str, str]:
+    sys.path[:0] = [str(root / "src")]
+    from bridgepot.functionals import k_transform
+    from bridgepot.potentials import BallIndicator, RadialPower, Sum
+
+    ball = BallIndicator(None, 1.0, -1.0)
+    balls = Sum((ball, BallIndicator(None, 2.0, -0.5)))
+    shell = RadialPower(-1.0, 0.2, 2.0, -1.0)
+    power = RadialPower(0.5, 0.0, 1.5, -1.0)  # a power cell from lo = 0
+    cases = (
+        ("ball", ball, 5, (0.6, 0.3)),
+        ("shell", shell, 5, (0.6, 0.3)),
+        ("shell", shell, 6, (0.6, 0.3)),
+        ("balls", balls, 6, (0.6, 0.3)),
+        ("shell", shell, 3, (0.0,)),
+        ("shell", shell, 4, (0.0,)),
+        ("power", power, 3, (0.6, 0.3)),
+        ("power", power, 4, (0.6, 0.3)),
+    )
+    out = {}
+    for name, V, d, x in cases:
+        key = f"k_transform/{name}/d{d}/x={','.join(map(str, x))}"
+        xv, yv = [*x] + [0.0] * (d - len(x)), [0.2, 1.1] + [0.0] * (d - 2)
+        try:
+            out[key] = repr(k_transform(V, xv, yv, d))
+        except Exception as exc:  # a failing call is a number too
+            out[key] = f"raised {exc!r}"
+    return out
+
+
 def _verify_reports(root: Path) -> dict[str, dict]:
     sys.path[:0] = [str(root / "src")]
     from bridgepot.verify import SUITE_IDS
@@ -108,6 +141,7 @@ def write(path: Path, root: Path) -> None:
     record = {
         "workloads": _workload_reprs(root),
         "ladders": _ladder_reprs(root),
+        "branches": _branch_reprs(root),
         "verify": _verify_reports(root),
     }
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
@@ -118,11 +152,13 @@ def diff(a: Path, b: Path) -> int:
     left, right = json.loads(a.read_text()), json.loads(b.read_text())
     differ = 0
     for part in PARTS:
-        for key in sorted(set(left[part]) | set(right[part])):
-            if left[part].get(key) != right[part].get(key):
+        # a record written before a part existed has none of its entries
+        lpart, rpart = left.get(part, {}), right.get(part, {})
+        for key in sorted(set(lpart) | set(rpart)):
+            if lpart.get(key) != rpart.get(key):
                 differ += 1
-                print(f"{part} {key}:\n  {left[part].get(key)!r}\n  {right[part].get(key)!r}")
-        print(f"{part}: {len(left[part])} and {len(right[part])} entries")
+                print(f"{part} {key}:\n  {lpart.get(key)!r}\n  {rpart.get(key)!r}")
+        print(f"{part}: {len(lpart)} and {len(rpart)} entries")
     print(f"{differ} differ")
     return 1 if differ else 0
 
